@@ -47,6 +47,3 @@ for move in chain:
     current = nxt
 assert current == y
 print("\nchain lands exactly on y")
-
-walk = reduction_chain(y, z, strategy="walk")
-print(f"column-walk strategy finds: {[str(m) for m in walk]} (chains need not agree)")

@@ -14,7 +14,6 @@ from .errors import (
 from .geometry import aut_degree, hall_degree, stratum_dim, subspace_orbit_dim
 from .homcalc import (
     BandCell,
-    HomDelta,
     band_delta_hom,
     delta_hom,
     delta_mult,
@@ -55,7 +54,7 @@ from .objects import (
     object_type,
 )
 from .oracle import RealizedObject, oracle_hom_dim, rank_mod_p, realize
-from .partitions import Partition, contains, is_column_strip, moment, skew_column_counts, weight
+from .partitions import Partition, is_column_strip, skew_column_counts
 from .reduction import find_descent_move, reduction_chain
 
 __version__ = "0.1.0"

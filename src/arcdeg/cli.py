@@ -10,24 +10,22 @@ import sys
 
 from .errors import ArcDegError
 from .geometry import aut_degree, hall_degree, stratum_dim, subspace_orbit_dim
-from .homcalc import delta_hom, hom_obj, test_set
+from .homcalc import delta_hom, hom_leq, hom_obj, test_set
 from .lr import lr_coefficient
-from .moves import arc_leq, hasse_dot
+from .moves import apply_down, arc_leq, hasse_dot
 from .objects import (
     S2Object,
     alpha_of,
     crossings,
     diagram_of_object,
     enumerate_objects,
+    object_of_diagram,
     object_type,
 )
 from .oracle import oracle_hom_dim
-from .homcalc import hom_leq
 from .partitions import Partition
 from .reduction import reduction_chain
 from .verify import equivalence_sweep, mesh_check, region_check
-from .moves import apply_down
-from .objects import object_of_diagram
 
 
 def _dump(data) -> str:
@@ -86,7 +84,7 @@ def _cmd_reduce(args) -> int:
     y = S2Object.from_text(args.y)
     z = S2Object.from_text(args.z)
     beta, gamma = object_type(y)
-    chain = reduction_chain(y, z, strategy=args.strategy)
+    chain = reduction_chain(y, z)
     steps = []
     current = z
     for move in chain:
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="move chain from z down to y")
     p.add_argument("--y", required=True)
     p.add_argument("--z", required=True)
-    p.add_argument("--strategy", choices=("canonical", "walk"), default="canonical")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("dim", help="dimension data of one object")
@@ -237,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArcDegError, ValueError) as exc:
+    except (ArcDegError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import TypeMismatch
-from .objects import B2, P0, P1, P2, Indecomposable, S2Object, object_type
+from .objects import B2, P0, P1, P2, Indecomposable, S2Object, object_type, require_same_type
 from .partitions import Partition
 
 
@@ -84,24 +83,15 @@ def hom_obj(a: S2Object, b: S2Object) -> int:
     return sum(_hom_against(s, b) for s in a.summands)
 
 
-def _require_same_type(y: S2Object, z: S2Object) -> Partition:
-    ty, tz = object_type(y), object_type(z)
-    if ty != tz:
-        raise TypeMismatch(
-            f"objects have types ({ty[0].to_text()};{ty[1].to_text()}) and ({tz[0].to_text()};{tz[1].to_text()})"
-        )
-    return ty[0]
-
-
 def delta_hom(y: S2Object, z: S2Object, x: Indecomposable) -> int:
     """[x, z] - [x, y] for same-type objects y, z."""
-    _require_same_type(y, z)
+    require_same_type(y, z)
     return _hom_against(x, z) - _hom_against(x, y)
 
 
 def delta_mult(y: S2Object, z: S2Object, x: Indecomposable) -> int:
     """Multiplicity of x in z minus its multiplicity in y."""
-    _require_same_type(y, z)
+    require_same_type(y, z)
     return z.multiplicity(x) - y.multiplicity(x)
 
 
@@ -132,38 +122,9 @@ def _hom_profile(obj: S2Object, bound: int | None) -> tuple[int, ...]:
 
 def hom_leq(y: S2Object, z: S2Object, bound: int | None = None) -> bool:
     """True when [x, y] <= [x, z] for every test object x."""
-    _require_same_type(y, z)
+    require_same_type(y, z)
     py, pz = _hom_profile(y, bound), _hom_profile(z, bound)
     return all(a <= b for a, b in zip(py, pz))
-
-
-@dataclass(frozen=True)
-class HomDelta:
-    """Difference data of a same-type pair (y, z): hom deltas and
-    multiplicity deltas, indexed by indecomposables."""
-
-    y: S2Object
-    z: S2Object
-
-    def __post_init__(self):
-        _require_same_type(self.y, self.z)
-
-    @property
-    def beta(self) -> Partition:
-        return object_type(self.y)[0]
-
-    def hom(self, x: Indecomposable) -> int:
-        return delta_hom(self.y, self.z, x)
-
-    def mult(self, x: Indecomposable) -> int:
-        return delta_mult(self.y, self.z, x)
-
-    def hom_map(self, bound: int | None = None) -> dict[Indecomposable, int]:
-        """Hom deltas over the deciding test set."""
-        return {x: self.hom(x) for x in test_set(self.beta, bound)}
-
-    def nonnegative(self, bound: int | None = None) -> bool:
-        return all(v >= 0 for v in self.hom_map(bound).values())
 
 
 @dataclass(frozen=True)
@@ -226,13 +187,13 @@ def mesh_defect_report(y: S2Object, z: S2Object, n: int) -> list[MeshViolation]:
     expected outcome for every same-type pair.  Requires n to be at
     least beta[0] + 3 so the window covers all nonzero deltas.
     """
-    beta = _require_same_type(y, z)
+    beta = require_same_type(y, z)
     if n < beta.max_part + 3:
         raise ValueError(f"window bound {n} is below the required {beta.max_part + 3}")
     violations: list[MeshViolation] = []
     for ell in range(2, n):
         for t in range(0, ell - 1):
-            label = P1(ell) if t == 0 else B2(ell, t)
+            label = BandCell(ell, t).label[0]
             lhs = delta_mult(y, z, label)
             rhs = (
                 band_delta_hom(y, z, ell, t)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .errors import MoveNotApplicable, TypeMismatch
+from .errors import MoveNotApplicable
 from .objects import (
     B2,
     P1,
@@ -37,11 +37,13 @@ from .objects import (
     diagram_of_object,
     enumerate_objects,
     object_of_diagram,
-    object_type,
+    require_same_type,
 )
 from .partitions import Partition
 
-_KINDS = ("A", "B", "C", "D", "E")
+# number of points each move kind takes, in canonical kind order
+MOVE_ARITY = {"A": 4, "B": 3, "C": 4, "D": 3, "E": 2}
+_KINDS = tuple(MOVE_ARITY)
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,9 @@ class Move:
     points: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        need = MOVE_ARITY.get(self.kind)
+        if need is None:
             raise ValueError(f"unknown move kind {self.kind!r}")
-        need = {"A": 4, "B": 3, "C": 4, "D": 3, "E": 2}[self.kind]
         pts = self.points
         if len(pts) != need:
             raise ValueError(f"move {self.kind} takes {need} points, got {pts}")
@@ -248,11 +250,7 @@ def _down_closure(diagram: ArcDiagram) -> frozenset[ArcDiagram]:
 def arc_leq(y: S2Object, z: S2Object) -> bool:
     """True when the diagram of y is reachable from the diagram of z by
     a (possibly empty) sequence of down-moves."""
-    ty, tz = object_type(y), object_type(z)
-    if ty != tz:
-        raise TypeMismatch(
-            f"objects have types ({ty[0].to_text()};{ty[1].to_text()}) and ({tz[0].to_text()};{tz[1].to_text()})"
-        )
+    require_same_type(y, z)
     return diagram_of_object(y) in _down_closure(diagram_of_object(z))
 
 

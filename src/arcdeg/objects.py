@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InconsistentDiagram
+from .errors import InconsistentDiagram, TypeMismatch
 from .partitions import Partition
 
 _KIND_RANK = {"B2": 0, "P2": 1, "P1": 2, "P0": 3}
@@ -303,6 +303,17 @@ def object_type(obj: S2Object) -> tuple[Partition, Partition]:
     return Partition(tuple(beta)), Partition(tuple(gamma))
 
 
+def require_same_type(y: S2Object, z: S2Object) -> Partition:
+    """The shared ambient type of y and z; raises :class:`TypeMismatch`
+    when their (ambient, quotient) types differ."""
+    ty, tz = object_type(y), object_type(z)
+    if ty != tz:
+        raise TypeMismatch(
+            f"objects have types ({ty[0].to_text()};{ty[1].to_text()}) and ({tz[0].to_text()};{tz[1].to_text()})"
+        )
+    return ty[0]
+
+
 def alpha_of(obj: S2Object) -> Partition:
     """Jordan type of the subspace: a 2 per arc or loop, a 1 per pole."""
     parts: list[int] = []
@@ -422,14 +433,17 @@ def enumerate_objects(beta: Partition, gamma: Partition) -> list[S2Object]:
     """All objects of type (beta, gamma), without duplicates, in canonical
     order.  The list is empty exactly when the type is unrealizable."""
     results: list[S2Object] = []
-
-    def rec(beta_rem: tuple[int, ...], gamma_rem: tuple[int, ...], acc: list[Indecomposable], prev):
+    # depth-first over the ambient parts, largest first; an explicit stack
+    # because a type may have more parts than the interpreter's recursion limit
+    stack = [(beta.parts, gamma.parts, (), None)]
+    while stack:
+        beta_rem, gamma_rem, acc, prev = stack.pop()
         if not beta_rem:
             if not gamma_rem:
-                results.append(S2Object(tuple(acc)))
-            return
+                results.append(S2Object(acc))
+            continue
         if gamma_rem and gamma_rem[0] > beta_rem[0]:
-            return
+            continue
         m, rest = beta_rem[0], beta_rem[1:]
         for token, summand, used_gamma, partner in _roles(m, rest):
             if prev is not None and prev[0] == m and token < prev[1]:
@@ -440,10 +454,6 @@ def enumerate_objects(beta: Partition, gamma: Partition) -> list[S2Object]:
             new_beta = rest
             if partner is not None:
                 new_beta = _remove_values(rest, (partner,))
-            acc.append(summand)
-            rec(new_beta, new_gamma, acc, (m, token))
-            acc.pop()
-
-    rec(beta.parts, gamma.parts, [], None)
+            stack.append((new_beta, new_gamma, acc + (summand,), (m, token)))
     results.sort(key=lambda o: o.sort_key)
     return results

@@ -12,6 +12,7 @@ involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -82,10 +83,18 @@ def _summand_embedding(kind: str, m: int, r: int) -> tuple[tuple[int, ...], tupl
     return (2,), (m, r), emb
 
 
+# largest modulus whose entry products (p - 1)**2 still fit in int64
+_MAX_MODULUS = 3_037_000_499
+
+
+def _require_prime(p: int) -> None:
+    if not 2 <= p <= _MAX_MODULUS or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"the field size must be a prime between 2 and {_MAX_MODULUS}, got {p}")
+
+
 def realize(obj: S2Object, p: int) -> RealizedObject:
     """Block-diagonal realization of an object over F_p."""
-    if p < 2:
-        raise ValueError("the field size must be a prime >= 2")
+    _require_prime(p)
     sub_parts: list[int] = []
     amb_parts: list[int] = []
     blocks: list[np.ndarray] = []
@@ -113,6 +122,7 @@ def realize(obj: S2Object, p: int) -> RealizedObject:
 
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
     """Rank over F_p by row reduction with first-nonzero pivoting."""
+    _require_prime(p)
     a = (mat % p).astype(np.int64)
     rows, cols = a.shape
     rank = 0

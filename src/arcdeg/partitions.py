@@ -78,18 +78,6 @@ class Partition:
         return all(other.parts[i] <= self.part_at(i) for i in range(len(other.parts)))
 
 
-def weight(p: Partition) -> int:
-    return p.weight()
-
-
-def moment(p: Partition) -> int:
-    return p.moment()
-
-
-def contains(beta: Partition, gamma: Partition) -> bool:
-    return beta.contains(gamma)
-
-
 def skew_column_counts(beta: Partition, gamma: Partition) -> dict[int, int]:
     """Number of boxes of the skew diagram beta/gamma in each column.
 

@@ -15,41 +15,17 @@ the region and leaves it unchanged elsewhere, so the new pair is again
 in hom order and the process terminates: every move strictly decreases
 (pole count, crossing count) lexicographically.
 
-Two search strategies are provided.  ``canonical`` (the default, and
-the normative one) tries the applicable moves of the diagram of z in
-canonical order and returns the first admissible one.  ``walk`` scans
-the band of hom deltas column by column for a maximal strictly positive
-run with zero neighbors, then walks the columns outward looking for
-positive multiplicity deltas at the two corners of the parallelogram;
-when the parallelogram wraps around the seam of the band the missing
-corner is completed by a canonical scan restricted to moves with the
-matching inner end (and a full canonical scan remains as a guaranteed
-fallback).  Both strategies verify (P1) and (P2) explicitly, so every
-returned move is valid regardless of strategy.
+The search tries the applicable moves of the diagram of z in canonical
+order and returns the first admissible one; (P1) and (P2) are checked
+explicitly, so every returned move is valid.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantViolation, NoDescentMove, NotComparable
-from .homcalc import (
-    _require_same_type,
-    band_delta_hom,
-    delta_hom,
-    delta_mult,
-    hom_leq,
-    test_set,
-)
+from .homcalc import delta_hom, delta_mult, hom_leq, test_set
 from .moves import Move, apply_down, down_moves, region, ses_witness
-from .objects import (
-    B2,
-    P1,
-    Indecomposable,
-    S2Object,
-    diagram_of_object,
-    object_of_diagram,
-    object_type,
-)
-from .partitions import Partition
+from .objects import S2Object, diagram_of_object, object_of_diagram, object_type, require_same_type
 
 
 def _admissible(y: S2Object, z: S2Object, move: Move, members) -> bool:
@@ -62,125 +38,21 @@ def _admissible(y: S2Object, z: S2Object, move: Move, members) -> bool:
     return all(delta_hom(y, z, x) >= 1 for x in members if pred(x))
 
 
-def _canonical_search(y: S2Object, z: S2Object, members) -> Move | None:
-    for move, _ in down_moves(diagram_of_object(z)):
-        if _admissible(y, z, move, members):
-            return move
-    return None
-
-
-def _cell_label(ell: int, t: int) -> Indecomposable | None:
-    """Indecomposable at a band cell; None on composite cells."""
-    if t == 0:
-        return P1(ell)
-    if 1 <= t <= ell - 2:
-        return B2(ell, t)
-    return None
-
-
-def _positive_runs(y: S2Object, z: S2Object, top: int):
-    """Maximal strictly positive runs in each constant-column of the
-    band of hom deltas, ordered by (column, lowest cell)."""
-    runs = []
-    for ell in range(1, top + 1):
-        t = 0
-        while t <= ell - 1:
-            if band_delta_hom(y, z, ell, t) > 0:
-                lo = t
-                while t + 1 <= ell - 1 and band_delta_hom(y, z, ell, t + 1) > 0:
-                    t += 1
-                runs.append((ell, lo, t))
-            t += 1
-    return runs
-
-
-def _walk_up(y, z, ell0, t_lo, t_hi, top):
-    """Find the first positive multiplicity delta scanning the run's
-    window through increasing columns; the run stays positive column by
-    column while no corner is found."""
-    ell = ell0
-    while ell <= top:
-        for t in range(t_lo, t_hi + 1):
-            if t <= ell - 1:
-                lab = _cell_label(ell, t)
-                if lab is not None and delta_mult(y, z, lab) > 0:
-                    return ell, t
-        if ell + 1 > top:
-            return None
-        if not all(band_delta_hom(y, z, ell + 1, t) > 0 for t in range(t_lo, min(t_hi, ell) + 1)):
-            return None
-        ell += 1
-    return None
-
-
-def _walk_down(y, z, ell0, t_lo, t2, top):
-    """Find the last positive multiplicity delta in the shifted window
-    through decreasing columns, one step left of the run."""
-    ell = ell0 - 1
-    while ell >= 1:
-        best = None
-        for t in range(max(t_lo - 1, 0), t2):
-            if t <= ell - 1:
-                lab = _cell_label(ell, t)
-                if lab is not None and delta_mult(y, z, lab) > 0:
-                    best = (ell, t)
-        if best is not None:
-            return best
-        if not all(
-            band_delta_hom(y, z, ell, t) > 0 for t in range(t_lo, min(t2, ell - 1) + 1)
-        ):
-            return None
-        ell -= 1
-    return None
-
-
-def _walk_search(y: S2Object, z: S2Object, beta: Partition, members) -> Move | None:
-    top = beta.max_part + 2
-    candidates = down_moves(diagram_of_object(z))
-    for ell0, t_lo, t_hi in _positive_runs(y, z, top):
-        corner2 = _walk_up(y, z, ell0, t_lo, t_hi, top)
-        if corner2 is None:
-            continue
-        x2 = _cell_label(*corner2)
-        corner1 = _walk_down(y, z, ell0, t_lo, corner2[1], top)
-        if corner1 is not None:
-            x1 = _cell_label(*corner1)
-            for move, _ in candidates:
-                left, _, right = ses_witness(move)
-                if left.summands == (x1,) and right.summands == (x2,):
-                    if _admissible(y, z, move, members):
-                        return move
-        # seam case: the parallelogram wraps around the band, so only the
-        # inner end is known; complete by canonical scan over moves with
-        # that inner end.
-        for move, _ in candidates:
-            if ses_witness(move)[2].summands == (x2,) and _admissible(y, z, move, members):
-                return move
-    return None
-
-
-def find_descent_move(y: S2Object, z: S2Object, strategy: str = "canonical") -> Move:
-    """A move applicable to the diagram of z whose result z' still
-    satisfies hom_leq(y, z'); raises :class:`NoDescentMove` when y and z
-    are isomorphic and :class:`NotComparable` when y is not below z."""
-    beta = _require_same_type(y, z)
+def find_descent_move(y: S2Object, z: S2Object) -> Move:
+    """The first move, in canonical order, applicable to the diagram of z
+    whose result z' still satisfies hom_leq(y, z'); raises
+    :class:`NoDescentMove` when y and z are isomorphic and
+    :class:`NotComparable` when y is not below z."""
+    beta = require_same_type(y, z)
     if y == z:
         raise NoDescentMove("the objects are isomorphic; nothing to descend")
     members = test_set(beta)
     if any(delta_hom(y, z, x) < 0 for x in members):
         raise NotComparable("y is not below z in the hom order")
-    if strategy not in ("canonical", "walk"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "walk":
-        move = _walk_search(y, z, beta, members)
-        if move is not None:
+    for move, _ in down_moves(diagram_of_object(z)):
+        if _admissible(y, z, move, members):
             return move
-    move = _canonical_search(y, z, members)
-    if move is None:
-        raise InternalInvariantViolation(
-            f"no admissible move for {y.to_text()} <= {z.to_text()}"
-        )
-    return move
+    raise InternalInvariantViolation(f"no admissible move for {y.to_text()} <= {z.to_text()}")
 
 
 def _chain_budget(z: S2Object) -> int:
@@ -198,12 +70,12 @@ def _chain_budget(z: S2Object) -> int:
     return (poles // 2 + 1) * cross_cap + poles
 
 
-def reduction_chain(y: S2Object, z: S2Object, strategy: str = "canonical") -> list[Move]:
+def reduction_chain(y: S2Object, z: S2Object) -> list[Move]:
     """Moves carrying the diagram of z down to the diagram of y; empty
     exactly when the objects are isomorphic.  Every intermediate object
     stays above y in the hom order."""
     beta, gamma = object_type(y)
-    _require_same_type(y, z)
+    require_same_type(y, z)
     if not hom_leq(y, z):
         raise NotComparable("y is not below z in the hom order")
     chain: list[Move] = []
@@ -212,7 +84,7 @@ def reduction_chain(y: S2Object, z: S2Object, strategy: str = "canonical") -> li
     while current != y:
         if len(chain) > limit:
             raise InternalInvariantViolation("descent failed to terminate")
-        move = find_descent_move(y, current, strategy=strategy)
+        move = find_descent_move(y, current)
         nxt_diagram = apply_down(diagram_of_object(current), move)
         nxt = object_of_diagram(nxt_diagram, beta, gamma)
         if not hom_leq(y, nxt):

@@ -24,11 +24,13 @@ import random
 from dataclasses import dataclass, field
 
 from .geometry import aut_degree, stratum_dim, subspace_orbit_dim
-from .homcalc import P0, P2, delta_hom, hom_leq, mesh_defect_report, test_set
-from .moves import down_moves, extrema, region, unit_pair
+from .homcalc import delta_hom, hom_leq, mesh_defect_report, test_set
+from .lr import minimal_count_prediction
+from .moves import MOVE_ARITY, Move, arc_leq, down_moves, extrema, region, unit_pair
 from .objects import (
     B2,
-    P1,
+    P0,
+    P2,
     Indecomposable,
     S2Object,
     alpha_of,
@@ -37,8 +39,6 @@ from .objects import (
     object_of_diagram,
     object_type,
 )
-from .lr import minimal_count_prediction
-from .moves import Move, arc_leq
 from .partitions import Partition, is_column_strip
 
 
@@ -206,10 +206,11 @@ def random_unit_pairs(count: int, max_point: int, seed: int):
     """Deterministic stream of (move, smaller, larger) unit-move pairs
     with a little shared context; used by the randomized region check."""
     rng = random.Random(seed)
+    kinds = tuple(MOVE_ARITY)
     produced = 0
     while produced < count:
-        kind = rng.choice("ABCDE")
-        need = {"A": 4, "B": 3, "C": 4, "D": 3, "E": 2}[kind]
+        kind = rng.choice(kinds)
+        need = MOVE_ARITY[kind]
         pts = tuple(sorted(rng.sample(range(1, max_point + 1), need), reverse=True))
         move = Move(kind, pts)
         context: list[Indecomposable] = []

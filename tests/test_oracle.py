@@ -75,5 +75,12 @@ def test_oracle_on_decomposable_objects():
 
 
 def test_realize_rejects_bad_prime():
+    x = S2Object.of(P1(1))
+    for p in (1, 4, 91):
+        with pytest.raises(ValueError):
+            realize(x, p)
+    # (p - 1)**2 would overflow the int64 elimination
     with pytest.raises(ValueError):
-        realize(S2Object.of(P1(1)), 1)
+        oracle_hom_dim(x, x, 4_000_000_007)
+    with pytest.raises(ValueError):
+        rank_mod_p(np.eye(2, dtype=int), 4)

@@ -131,6 +131,26 @@ def test_cli_hasse_dot(tmp_path, capsys):
     assert dot.startswith("digraph")
 
 
+def test_cli_hasse_dot_unwritable_path_exit_code(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.dot"
+    code, out, err = run_cli(capsys, "hasse", "--beta", "2,1", "--gamma", "1", "--dot", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_cli_enumerate_more_parts_than_recursion_limit(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--beta", ",".join(["1"] * 1500), "--gamma", "")
+    assert code == 0
+    assert len(out.splitlines()) == 1
+
+
+def test_cli_oracle_rejects_composite_modulus(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--x", "B(5,2)", "--y", "B(4,2)", "--prime", "4")
+    assert code == 2
+    assert "prime" in err and out == ""
+
+
 def test_cli_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "dim", "--object", "Q(3)")
     assert code == 2
