@@ -12,19 +12,18 @@ from .errors import ArcDegError
 from .geometry import aut_degree, hall_degree, stratum_dim, subspace_orbit_dim
 from .homcalc import delta_hom, hom_leq, hom_obj, test_set
 from .lr import lr_coefficient
-from .moves import apply_down, arc_leq, hasse_dot
+from .moves import arc_leq, hasse_dot
 from .objects import (
     S2Object,
     alpha_of,
     crossings,
     diagram_of_object,
     enumerate_objects,
-    object_of_diagram,
     object_type,
 )
 from .oracle import oracle_hom_dim
 from .partitions import Partition
-from .reduction import reduction_chain
+from .reduction import reduction_steps
 from .verify import equivalence_sweep, mesh_check, region_check
 
 
@@ -83,21 +82,18 @@ def _cmd_order(args) -> int:
 def _cmd_reduce(args) -> int:
     y = S2Object.from_text(args.y)
     z = S2Object.from_text(args.z)
-    beta, gamma = object_type(y)
-    chain = reduction_chain(y, z)
     steps = []
-    current = z
-    for move in chain:
-        nxt = object_of_diagram(apply_down(diagram_of_object(current), move), beta, gamma)
+    before = z
+    for move, after in reduction_steps(y, z):
         steps.append(
             {
                 "kind": move.kind,
                 "points": list(move.points),
-                "before": current.to_text(),
-                "after": nxt.to_text(),
+                "before": before.to_text(),
+                "after": after.to_text(),
             }
         )
-        current = nxt
+        before = after
     print(_dump({"y": y.to_text(), "z": z.to_text(), "chain": steps}))
     return 0
 
@@ -160,6 +156,10 @@ def _cmd_lr(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.beta_max < 1:
+        raise ValueError(f"--beta-max must be at least 1, got {args.beta_max}")
+    if min(args.mesh_pairs, args.region_pairs) < 0:
+        raise ValueError("--mesh-pairs and --region-pairs must not be negative")
     report = equivalence_sweep(args.beta_max)
     for line in report.summary_lines():
         print(line)

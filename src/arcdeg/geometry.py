@@ -14,24 +14,19 @@ from .partitions import Partition
 def stratum_dim(obj: S2Object) -> int:
     """Dimension of the stratum of all representations isomorphic to the
     object, inside the variety of embeddings with ambient type beta and
-    quotient type gamma:
+    quotient type gamma: the sum of the orbit dimensions of the subspace
+    operator (type alpha), the ambient operator and the embedding,
 
-        |beta|^2 + |alpha|^2 - n(alpha) - n(beta) - n(gamma) - |beta| - x
-
-    where n is the moment, alpha the subspace type and x the crossing
-    number of the object's diagram.
+        |alpha|^2 - aut_degree(alpha) + |beta|^2 - aut_degree(beta) + subspace_orbit_dim
     """
-    beta, gamma = object_type(obj)
+    beta = object_type(obj)[0]
     alpha = alpha_of(obj)
-    x = crossings(diagram_of_object(obj))
     return (
-        beta.weight() ** 2
-        + alpha.weight() ** 2
-        - alpha.moment()
-        - beta.moment()
-        - gamma.moment()
-        - beta.weight()
-        - x
+        alpha.weight() ** 2
+        - aut_degree(alpha)
+        + beta.weight() ** 2
+        - aut_degree(beta)
+        + subspace_orbit_dim(obj)
     )
 
 

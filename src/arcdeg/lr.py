@@ -9,15 +9,13 @@ prefix contains at least as many i as i+1, for all i.
 
 from __future__ import annotations
 
-from .errors import TypeMismatch
-from .partitions import Partition, is_column_strip
+from .partitions import Partition, is_column_strip, require_contains
 
 
 def alpha_for_type(beta: Partition, gamma: Partition) -> Partition:
     """The subspace type forced on minimal elements: all parts 2, plus a
     single 1 when the weight difference is odd."""
-    if not beta.contains(gamma):
-        raise TypeMismatch(f"{gamma.to_text() or '()'} is not contained in {beta.to_text() or '()'}")
+    require_contains(beta, gamma)
     diff = beta.weight() - gamma.weight()
     return Partition((2,) * (diff // 2) + (1,) * (diff % 2))
 
@@ -74,9 +72,8 @@ def minimal_count_prediction(beta: Partition, gamma: Partition) -> int | None:
     (beta, gamma): the coefficient c^beta_{alpha, gamma} with alpha from
     :func:`alpha_for_type`, valid when beta/gamma has at most one box
     per column (equivalently, no diagram of the type carries a doubled
-    pole).  Returns None when that hypothesis fails."""
-    if not beta.contains(gamma):
-        raise TypeMismatch(f"{gamma.to_text() or '()'} is not contained in {beta.to_text() or '()'}")
+    pole).  Returns None when that hypothesis fails; raises
+    :class:`TypeMismatch` when gamma does not fit in beta."""
     if not is_column_strip(beta, gamma):
         return None
     return lr_coefficient(alpha_for_type(beta, gamma), gamma, beta)

@@ -43,6 +43,15 @@ from .partitions import Partition
 
 # number of points each move kind takes, in canonical kind order
 MOVE_ARITY = {"A": 4, "B": 3, "C": 4, "D": 3, "E": 2}
+# the pieces each move kind replaces, as indices into its points:
+# (arcs removed, poles removed, arcs added, poles added)
+_MOVE_PIECES = {
+    "A": (((0, 2), (1, 3)), (), ((0, 3), (1, 2)), ()),
+    "B": (((0, 2),), (1,), ((0, 1),), (2,)),
+    "C": (((0, 2), (1, 3)), (), ((0, 1), (2, 3)), ()),
+    "D": (((0, 2),), (1,), ((1, 2),), (0,)),
+    "E": ((), (0, 1), ((0, 1),), ()),
+}
 _KINDS = tuple(MOVE_ARITY)
 
 
@@ -88,40 +97,24 @@ class Move:
         return (_KINDS.index(self.kind), self.points)
 
 
-def _removed_added(move: Move) -> tuple[list, list, list, list]:
-    """(arcs removed, arcs added, poles removed, poles added)."""
-    k, pts = move.kind, move.points
-    if k == "A":
-        m, n, r, s = pts
-        return [(m, r), (n, s)], [(m, s), (n, r)], [], []
-    if k == "B":
-        m, r, s = pts
-        return [(m, s)], [(m, r)], [r], [s]
-    if k == "C":
-        m, n, r, s = pts
-        return [(m, r), (n, s)], [(m, n), (r, s)], [], []
-    if k == "D":
-        m, r, s = pts
-        return [(m, s)], [(r, s)], [r], [m]
-    m, r = pts
-    return [], [(m, r)], [m, r], []
-
-
 def apply_down(diagram: ArcDiagram, move: Move) -> ArcDiagram:
     """Apply a down-move; raises :class:`MoveNotApplicable` when the
     required arcs or poles are missing (with multiplicity)."""
-    arcs_out, arcs_in, poles_out, poles_in = _removed_added(move)
+    arcs_out, poles_out, arcs_in, poles_in = _MOVE_PIECES[move.kind]
+    pts = move.points
     arcs = list(diagram.arcs)
     poles = list(diagram.poles)
     try:
-        for a in arcs_out:
-            arcs.remove(a)
-        for p in poles_out:
-            poles.remove(p)
+        for i, j in arcs_out:
+            arcs.remove((pts[i], pts[j]))
+        for i in poles_out:
+            poles.remove(pts[i])
     except ValueError:
         raise MoveNotApplicable(f"{move} does not apply to {diagram}") from None
-    arcs.extend(arcs_in)
-    poles.extend(poles_in)
+    for i, j in arcs_in:
+        arcs.append((pts[i], pts[j]))
+    for i in poles_in:
+        poles.append(pts[i])
     return ArcDiagram.of(arcs, poles, diagram.loops)
 
 
@@ -153,46 +146,22 @@ def ses_witness(move: Move) -> tuple[S2Object, S2Object, S2Object]:
     """The short exact sequence attached to a move, as a triple
     (left end, middle, right end).
 
-    The middle is the smaller side's replaced summands, the ends are the
-    larger side's; nested arcs at the boundary parameter expand into
-    their picket pairs (this is the only difference between an A move
-    and its n = r + 1 variant).
+    The ends are the larger side's removed pieces, one each (kinds A
+    and D put the second one on the left); the middle is the smaller
+    side's added pieces, where a nested arc at the boundary parameter
+    expands into its picket pair (this is the only difference between
+    an A move and its n = r + 1 variant).
     """
-    k, pts = move.kind, move.points
-    if k == "A":
-        m, n, r, s = pts
-        return (
-            S2Object.of(B2(n, s)),
-            S2Object.of(*arc_summands(m, s), *arc_summands(n, r)),
-            S2Object.of(B2(m, r)),
-        )
-    if k == "B":
-        m, r, s = pts
-        return (
-            S2Object.of(B2(m, s)),
-            S2Object.of(*arc_summands(m, r), P1(s)),
-            S2Object.of(P1(r)),
-        )
-    if k == "C":
-        m, n, r, s = pts
-        return (
-            S2Object.of(B2(m, r)),
-            S2Object.of(*arc_summands(m, n), *arc_summands(r, s)),
-            S2Object.of(B2(n, s)),
-        )
-    if k == "D":
-        m, r, s = pts
-        return (
-            S2Object.of(P1(r)),
-            S2Object.of(P1(m), *arc_summands(r, s)),
-            S2Object.of(B2(m, s)),
-        )
-    m, r = pts
-    return (
-        S2Object.of(P1(m)),
-        S2Object.of(*arc_summands(m, r)),
-        S2Object.of(P1(r)),
+    arcs_out, poles_out, arcs_in, poles_in = _MOVE_PIECES[move.kind]
+    pts = move.points
+    ends = [S2Object.of(B2(pts[i], pts[j])) for i, j in arcs_out]
+    ends += [S2Object.of(P1(pts[i])) for i in poles_out]
+    left, right = ends[::-1] if move.kind in "AD" else ends
+    middle = S2Object.of(
+        *(x for i, j in arcs_in for x in arc_summands(pts[i], pts[j])),
+        *(P1(pts[i]) for i in poles_in),
     )
+    return left, middle, right
 
 
 def region(move: Move) -> Callable[[Indecomposable], bool]:

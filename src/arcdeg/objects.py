@@ -21,7 +21,6 @@ are invisible.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -87,12 +86,6 @@ class Indecomposable:
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def to_json_dict(self) -> dict:
-        d = {"kind": self.kind, "m": self.m}
-        if self.kind == "B2":
-            d["r"] = self.r
-        return d
 
 
 def P0(m: int) -> Indecomposable:
@@ -178,24 +171,8 @@ class S2Object:
     def __str__(self) -> str:
         return self.to_text()
 
-    def to_json_dict(self) -> dict:
-        return {"summands": [s.to_json_dict() for s in self.summands]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "S2Object":
-        summands = []
-        for sd in d["summands"]:
-            if sd["kind"] == "B2":
-                summands.append(B2(sd["m"], sd["r"]))
-            else:
-                summands.append(Indecomposable(sd["kind"], sd["m"]))
-        return cls(tuple(summands))
-
     def multiplicity(self, x: Indecomposable) -> int:
         return sum(1 for s in self.summands if s == x)
-
-    def __add__(self, other: "S2Object") -> "S2Object":
-        return S2Object(self.summands + other.summands)
 
     def __len__(self) -> int:
         return len(self.summands)
@@ -273,24 +250,6 @@ class ArcDiagram:
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "arcs": [list(a) for a in self.arcs],
-            "poles": list(self.poles),
-            "loops": list(self.loops),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ArcDiagram":
-        return cls.of(
-            [tuple(a) for a in d.get("arcs", ())],
-            d.get("poles", ()),
-            d.get("loops", ()),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def object_type(obj: S2Object) -> tuple[Partition, Partition]:

@@ -78,14 +78,19 @@ class Partition:
         return all(other.parts[i] <= self.part_at(i) for i in range(len(other.parts)))
 
 
+def require_contains(beta: Partition, gamma: Partition) -> None:
+    """Raise :class:`TypeMismatch` unless gamma is contained in beta."""
+    if not beta.contains(gamma):
+        raise TypeMismatch(f"{gamma.to_text() or '()'} is not contained in {beta.to_text() or '()'}")
+
+
 def skew_column_counts(beta: Partition, gamma: Partition) -> dict[int, int]:
     """Number of boxes of the skew diagram beta/gamma in each column.
 
     Columns are 1-based; columns without boxes are omitted.  Requires
     ``gamma`` to be contained in ``beta``.
     """
-    if not beta.contains(gamma):
-        raise TypeMismatch(f"{gamma.to_text() or '()'} is not contained in {beta.to_text() or '()'}")
+    require_contains(beta, gamma)
     counts: dict[int, int] = {}
     for i, b in enumerate(beta.parts):
         g = gamma.part_at(i)

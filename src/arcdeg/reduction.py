@@ -70,25 +70,31 @@ def _chain_budget(z: S2Object) -> int:
     return (poles // 2 + 1) * cross_cap + poles
 
 
-def reduction_chain(y: S2Object, z: S2Object) -> list[Move]:
-    """Moves carrying the diagram of z down to the diagram of y; empty
-    exactly when the objects are isomorphic.  Every intermediate object
-    stays above y in the hom order."""
+def reduction_steps(y: S2Object, z: S2Object) -> list[tuple[Move, S2Object]]:
+    """The moves carrying the diagram of z down to the diagram of y,
+    each with the object it leads to; empty exactly when the objects are
+    isomorphic.  Every intermediate object stays above y in the hom
+    order, and the last one is y."""
     beta, gamma = object_type(y)
     require_same_type(y, z)
     if not hom_leq(y, z):
         raise NotComparable("y is not below z in the hom order")
-    chain: list[Move] = []
+    steps: list[tuple[Move, S2Object]] = []
     current = z
     limit = _chain_budget(z)
     while current != y:
-        if len(chain) > limit:
+        if len(steps) > limit:
             raise InternalInvariantViolation("descent failed to terminate")
         move = find_descent_move(y, current)
         nxt_diagram = apply_down(diagram_of_object(current), move)
         nxt = object_of_diagram(nxt_diagram, beta, gamma)
         if not hom_leq(y, nxt):
             raise InternalInvariantViolation(f"move {move} broke hom monotonicity")
-        chain.append(move)
+        steps.append((move, nxt))
         current = nxt
-    return chain
+    return steps
+
+
+def reduction_chain(y: S2Object, z: S2Object) -> list[Move]:
+    """The moves of :func:`reduction_steps` alone."""
+    return [move for move, _ in reduction_steps(y, z)]

@@ -11,8 +11,10 @@ checks, exhaustively:
   and with a cutoff three columns wider;
 * vanishing of the hom delta on every P0 and P2;
 * strict growth of the stratum dimension along every single down-move;
-* the integer identity tying the stratum dimension to the orbit
-  dimension and the automorphism degrees;
+* the orbit-stabilizer identity: the orbit dimension of the embedding
+  (from crossing numbers) equals the automorphism degrees of subspace
+  and ambient space minus the dimension of the object's endomorphism
+  space (from the hom table);
 * a unique maximal element whose diagram carries no arc, and agreement
   of the minimal-element count with the Littlewood-Richardson
   prediction whenever the skew type is a column strip.
@@ -24,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from .geometry import aut_degree, stratum_dim, subspace_orbit_dim
-from .homcalc import delta_hom, hom_leq, mesh_defect_report, test_set
+from .homcalc import delta_hom, hom_leq, hom_obj, mesh_defect_report, test_set
 from .lr import minimal_count_prediction
 from .moves import MOVE_ARITY, Move, arc_leq, down_moves, extrema, region, unit_pair
 from .objects import (
@@ -127,15 +129,10 @@ def equivalence_sweep(max_weight: int) -> SweepReport:
         for obj in objects:
             if object_of_diagram(diagram_of_object(obj), beta, gamma) != obj:
                 report.fail("roundtrip", obj.to_text())
-            lhs = stratum_dim(obj)
-            alpha = alpha_of(obj)
-            rhs = (
-                alpha.weight() ** 2
-                + beta.weight() ** 2
-                - (aut_degree(alpha) + aut_degree(beta))
-                + subspace_orbit_dim(obj)
-            )
-            if lhs != rhs:
+            # orbit-stabilizer: the stabilizer of the embedding is Aut(obj),
+            # an open subset of End(obj)
+            auts = aut_degree(alpha_of(obj)) + aut_degree(beta)
+            if subspace_orbit_dim(obj) != auts - hom_obj(obj, obj):
                 report.fail("dimension-identity", obj.to_text())
         by_diagram = {diagram_of_object(o): o for o in objects}
         for obj in objects:

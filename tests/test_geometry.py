@@ -1,9 +1,12 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arcdeg import geometry
 from arcdeg.geometry import aut_degree, hall_degree, stratum_dim, subspace_orbit_dim
-from arcdeg.objects import B2, P0, P1, P2, S2Object, alpha_of, object_type
+from arcdeg.homcalc import hom_obj
+from arcdeg.objects import B2, P0, P1, P2, S2Object, alpha_of, crossings, object_type
 from arcdeg.partitions import Partition
+from arcdeg.verify import equivalence_sweep
 
 from test_objects import objects_strategy
 
@@ -37,15 +40,21 @@ def test_subspace_orbit_dim_examples():
 
 
 @given(objects_strategy)
-def test_consistency_identity(obj):
-    beta, gamma = object_type(obj)
+def test_orbit_stabilizer_identity(obj):
+    # the stabilizer of the embedding is Aut(obj), an open subset of End(obj)
+    beta = object_type(obj)[0]
     alpha = alpha_of(obj)
-    assert stratum_dim(obj) == (
-        alpha.weight() ** 2
-        + beta.weight() ** 2
-        - (aut_degree(alpha) + aut_degree(beta))
-        + subspace_orbit_dim(obj)
-    )
+    assert subspace_orbit_dim(obj) == aut_degree(alpha) + aut_degree(beta) - hom_obj(obj, obj)
+
+
+def test_sweep_dimension_identity_catches_crossing_fault(monkeypatch):
+    def crossings_with_endpoint_poles(diagram):
+        # faulty: a pole at an arc's upper endpoint counts as a crossing
+        extra = sum(1 for m, _ in diagram.arcs for p in diagram.poles if p == m)
+        return crossings(diagram) + extra
+
+    monkeypatch.setattr(geometry, "crossings", crossings_with_endpoint_poles)
+    assert "dimension-identity" in equivalence_sweep(7).failures
 
 
 @given(st.integers(min_value=0, max_value=60))

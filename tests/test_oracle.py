@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from arcdeg.homcalc import hom_obj
-from arcdeg.objects import B2, P0, P1, P2, S2Object
+from arcdeg.objects import B2, P0, P1, P2, S2Object, enumerate_objects
 from arcdeg.oracle import oracle_hom_dim, rank_mod_p, realize
+from arcdeg.verify import iter_types
 
 
 def test_realize_small_picket():
@@ -84,3 +85,10 @@ def test_realize_rejects_bad_prime():
         oracle_hom_dim(x, x, 4_000_000_007)
     with pytest.raises(ValueError):
         rank_mod_p(np.eye(2, dtype=int), 4)
+
+
+def test_oracle_endomorphisms_match_table_up_to_weight_6():
+    objects = [o for beta, gamma in iter_types(6) for o in enumerate_objects(beta, gamma)]
+    assert len(objects) == 234
+    for obj in objects:
+        assert oracle_hom_dim(obj, obj, 101) == hom_obj(obj, obj), obj.to_text()

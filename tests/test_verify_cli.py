@@ -6,6 +6,8 @@ from arcdeg.cli import main
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions, iter_types, mesh_check, region_check, subpartitions
 
+from conftest import DESCENT_Y, DESCENT_Z
+
 
 def test_all_partitions_counts():
     # 1 + p(1) + ... + p(5) = 1 + 1 + 2 + 3 + 5 + 7
@@ -91,6 +93,15 @@ def test_cli_reduce(capsys):
         {"kind": "E", "points": [2, 1], "before": "P1(2)+P1(1)", "after": "P2(2)+P0(1)"}
     ]
 
+    code, out, _ = run_cli(capsys, "reduce", "--y", DESCENT_Y.to_text(), "--z", DESCENT_Z.to_text())
+    assert code == 0
+    steps = json.loads(out)["chain"]
+    assert steps
+    assert steps[0]["before"] == DESCENT_Z.to_text()
+    for prev, step in zip(steps, steps[1:]):
+        assert step["before"] == prev["after"]
+    assert steps[-1]["after"] == DESCENT_Y.to_text()
+
 
 def test_cli_dim(capsys):
     code, out, _ = run_cli(capsys, "dim", "--object", "P1(1)")
@@ -143,6 +154,22 @@ def test_cli_enumerate_more_parts_than_recursion_limit(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--beta", ",".join(["1"] * 1500), "--gamma", "")
     assert code == 0
     assert len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--beta-max", "-1"],
+        ["--beta-max", "0"],
+        ["--beta-max", "2", "--mesh-pairs", "-5"],
+        ["--beta-max", "2", "--region-pairs", "-1"],
+    ],
+)
+def test_cli_verify_rejects_inputs_that_check_nothing(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and argv[-2] in err
+    assert out == ""
 
 
 def test_cli_oracle_rejects_composite_modulus(capsys):
