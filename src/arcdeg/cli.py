@@ -10,7 +10,7 @@ import sys
 
 from .errors import ArcDegError
 from .geometry import aut_degree, hall_degree, stratum_dim, subspace_orbit_dim
-from .homcalc import delta_hom, hom_leq, hom_obj, test_set
+from .homcalc import delta_profile, hom_leq, hom_obj, test_set
 from .lr import lr_coefficient
 from .moves import arc_leq, hasse_dot
 from .objects import (
@@ -122,7 +122,7 @@ def _cmd_hom(args) -> int:
     out = {"x": x.to_text(), "y": y.to_text(), "hom": hom_obj(x, y)}
     if object_type(x) == object_type(y):
         beta = object_type(x)[0]
-        out["delta_hom"] = {t.to_text(): delta_hom(x, y, t) for t in test_set(beta)}
+        out["delta_hom"] = {t.to_text(): d for t, d in zip(test_set(beta), delta_profile(x, y))}
     print(_dump(out))
     return 0
 

@@ -1,8 +1,8 @@
 """Hom-space dimensions between indecomposables, their biadditive
 extension to objects, the difference data attached to a same-type pair
-(multiplicity deltas and hom deltas), the finite test set that decides
-the hom order, and the four-term mesh identity that recovers
-multiplicity deltas from hom deltas.
+(multiplicity deltas, hom deltas, and ``delta_profile``, the hom deltas
+over the whole test set), the finite test set that decides the hom
+order, and the four-term mesh identity relating the two kinds of delta.
 
 The dimension of the morphism space between two indecomposables is a
 closed formula in the parameters, built from truncated minima:
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .objects import B2, P0, P1, P2, Indecomposable, S2Object, object_type, require_same_type
+from .objects import B2, P1, Indecomposable, S2Object, arc_summands, object_type, require_same_type
 from .partitions import Partition
 
 
@@ -73,7 +73,6 @@ def hom_indec(x: Indecomposable, y: Indecomposable) -> int:
     return table_entry(x.kind, x.m, x.r, y.kind, y.m, y.r)
 
 
-@lru_cache(maxsize=None)
 def _hom_against(x: Indecomposable, obj: S2Object) -> int:
     return sum(hom_indec(x, s) for s in obj.summands)
 
@@ -120,11 +119,17 @@ def _hom_profile(obj: S2Object, bound: int | None) -> tuple[int, ...]:
     return tuple(_hom_against(x, obj) for x in test_set(beta, bound))
 
 
+def delta_profile(y: S2Object, z: S2Object, bound: int | None = None) -> tuple[int, ...]:
+    """[x, z] - [x, y] for same-type objects y, z and each x of
+    ``test_set(beta, bound)``, in test-set order."""
+    require_same_type(y, z)
+    return tuple(b - a for a, b in zip(_hom_profile(y, bound), _hom_profile(z, bound)))
+
+
 def hom_leq(y: S2Object, z: S2Object, bound: int | None = None) -> bool:
     """True when [x, y] <= [x, z] for every test object x."""
-    require_same_type(y, z)
-    py, pz = _hom_profile(y, bound), _hom_profile(z, bound)
-    return all(a <= b for a, b in zip(py, pz))
+    # the zero object has an empty test set and is below itself
+    return min(delta_profile(y, z, bound), default=0) >= 0
 
 
 @dataclass(frozen=True)
@@ -146,15 +151,11 @@ class BandCell:
 
     @property
     def is_composite(self) -> bool:
-        return self.t == self.ell - 1 and self.ell >= 2
+        return len(self.label) == 2
 
     @property
     def label(self) -> tuple[Indecomposable, ...]:
-        if self.is_composite:
-            return (P2(self.ell), P0(self.ell - 1))
-        if self.t == 0:
-            return (P1(self.ell),)
-        return (B2(self.ell, self.t),)
+        return arc_summands(self.ell, self.t) if self.t else (P1(self.ell),)
 
 
 def band_delta_hom(y: S2Object, z: S2Object, ell: int, t: int) -> int:

@@ -232,8 +232,9 @@ def _type_graph(beta: Partition, gamma: Partition):
     for obj in nodes:
         seen: list[S2Object] = []
         for _, nxt in down_moves(diagram_of_object(obj)):
-            target = by_diagram[nxt]
-            if target not in seen:
+            target = by_diagram.get(nxt)
+            # a move that leaves the type is the sweep's move-type failure
+            if target is not None and target not in seen:
                 seen.append(target)
         succ[obj] = tuple(seen)
     return nodes, succ

@@ -376,16 +376,15 @@ def _remove_values(pool: tuple[int, ...], values: tuple[int, ...]) -> tuple[int,
 def _roles(m: int, rest: tuple[int, ...]):
     """Choices for the largest remaining ambient part m, in canonical order.
 
-    Yields (token, summand, quotient-parts-consumed, partner-part-or-None);
-    the token orders equal-part choices so each multiset of summands is
-    produced exactly once.
+    Yields (token, summand); the token orders equal-part choices so each
+    multiset of summands is produced exactly once.
     """
     for r in sorted({p for p in rest if 1 <= p <= m - 2}, reverse=True):
-        yield (0, -r), B2(m, r), tuple(p for p in (m - 1, r - 1) if p > 0), r
+        yield (0, -r), B2(m, r)
     if m >= 2:
-        yield (1, 0), P2(m), tuple(p for p in (m - 2,) if p > 0), None
-    yield (2, 0), P1(m), tuple(p for p in (m - 1,) if p > 0), None
-    yield (3, 0), P0(m), (m,), None
+        yield (1, 0), P2(m)
+    yield (2, 0), P1(m)
+    yield (3, 0), P0(m)
 
 
 def enumerate_objects(beta: Partition, gamma: Partition) -> list[S2Object]:
@@ -404,15 +403,14 @@ def enumerate_objects(beta: Partition, gamma: Partition) -> list[S2Object]:
         if gamma_rem and gamma_rem[0] > beta_rem[0]:
             continue
         m, rest = beta_rem[0], beta_rem[1:]
-        for token, summand, used_gamma, partner in _roles(m, rest):
+        for token, summand in _roles(m, rest):
             if prev is not None and prev[0] == m and token < prev[1]:
                 continue
-            new_gamma = _remove_values(gamma_rem, used_gamma)
+            new_gamma = _remove_values(gamma_rem, summand.quotient_parts())
             if new_gamma is None:
                 continue
-            new_beta = rest
-            if partner is not None:
-                new_beta = _remove_values(rest, (partner,))
+            # the bipicket's partner part r is in rest, by the choice of r
+            new_beta = _remove_values(rest, summand.ambient_parts()[1:])
             stack.append((new_beta, new_gamma, acc + (summand,), (m, token)))
     results.sort(key=lambda o: o.sort_key)
     return results

@@ -23,19 +23,19 @@ explicitly, so every returned move is valid.
 from __future__ import annotations
 
 from .errors import InternalInvariantViolation, NoDescentMove, NotComparable
-from .homcalc import delta_hom, delta_mult, hom_leq, test_set
+from .homcalc import delta_mult, delta_profile, hom_leq, test_set
 from .moves import Move, apply_down, down_moves, region, ses_witness
-from .objects import S2Object, diagram_of_object, object_of_diagram, object_type, require_same_type
+from .objects import S2Object, diagram_of_object, object_of_diagram, object_type
 
 
-def _admissible(y: S2Object, z: S2Object, move: Move, members) -> bool:
+def _admissible(y: S2Object, z: S2Object, move: Move, members, deltas) -> bool:
     left, _, right = ses_witness(move)
     if delta_mult(y, z, left.summands[0]) <= 0:
         return False
     if delta_mult(y, z, right.summands[0]) <= 0:
         return False
     pred = region(move)
-    return all(delta_hom(y, z, x) >= 1 for x in members if pred(x))
+    return all(d >= 1 for x, d in zip(members, deltas) if pred(x))
 
 
 def find_descent_move(y: S2Object, z: S2Object) -> Move:
@@ -43,14 +43,14 @@ def find_descent_move(y: S2Object, z: S2Object) -> Move:
     whose result z' still satisfies hom_leq(y, z'); raises
     :class:`NoDescentMove` when y and z are isomorphic and
     :class:`NotComparable` when y is not below z."""
-    beta = require_same_type(y, z)
+    deltas = delta_profile(y, z)
     if y == z:
         raise NoDescentMove("the objects are isomorphic; nothing to descend")
-    members = test_set(beta)
-    if any(delta_hom(y, z, x) < 0 for x in members):
+    if min(deltas) < 0:
         raise NotComparable("y is not below z in the hom order")
+    members = test_set(object_type(z)[0])
     for move, _ in down_moves(diagram_of_object(z)):
-        if _admissible(y, z, move, members):
+        if _admissible(y, z, move, members, deltas):
             return move
     raise InternalInvariantViolation(f"no admissible move for {y.to_text()} <= {z.to_text()}")
 
@@ -76,7 +76,6 @@ def reduction_steps(y: S2Object, z: S2Object) -> list[tuple[Move, S2Object]]:
     isomorphic.  Every intermediate object stays above y in the hom
     order, and the last one is y."""
     beta, gamma = object_type(y)
-    require_same_type(y, z)
     if not hom_leq(y, z):
         raise NotComparable("y is not below z in the hom order")
     steps: list[tuple[Move, S2Object]] = []

@@ -9,7 +9,8 @@ checks, exhaustively:
 * equivalence of the arc order and the hom order on every ordered pair;
 * agreement of the hom order computed with the default test-set cutoff
   and with a cutoff three columns wider;
-* vanishing of the hom delta on every P0 and P2;
+* vanishing of the hom delta on every P0 and P2, checked per object:
+  the hom space from each such picket has one dimension over the type;
 * strict growth of the stratum dimension along every single down-move;
 * the orbit-stabilizer identity: the orbit dimension of the embedding
   (from crossing numbers) equals the automorphism degrees of subspace
@@ -26,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from .geometry import aut_degree, stratum_dim, subspace_orbit_dim
-from .homcalc import delta_hom, hom_leq, hom_obj, mesh_defect_report, test_set
+from .homcalc import delta_profile, hom_leq, hom_obj, mesh_defect_report, test_set
 from .lr import minimal_count_prediction
 from .moves import MOVE_ARITY, Move, arc_leq, down_moves, extrema, region, unit_pair
 from .objects import (
@@ -124,11 +125,16 @@ def equivalence_sweep(max_weight: int) -> SweepReport:
             continue
         report.types_realizable += 1
         report.objects_total += len(objects)
-        probes = [P0(m) for m in range(1, beta.max_part + 2)]
-        probes += [P2(m) for m in range(2, beta.max_part + 2)]
+        probes = [S2Object.of(P0(m)) for m in range(1, beta.max_part + 2)]
+        probes += [S2Object.of(P2(m)) for m in range(2, beta.max_part + 2)]
+        first = objects[0]
+        first_homs = [hom_obj(probe, first) for probe in probes]
         for obj in objects:
             if object_of_diagram(diagram_of_object(obj), beta, gamma) != obj:
                 report.fail("roundtrip", obj.to_text())
+            for probe, expected in zip(probes, first_homs):
+                if hom_obj(probe, obj) != expected:
+                    report.fail("picket-delta-zero", f"{probe.to_text()} on {first.to_text()} vs {obj.to_text()}")
             # orbit-stabilizer: the stabilizer of the embedding is Aut(obj),
             # an open subset of End(obj)
             auts = aut_degree(alpha_of(obj)) + aut_degree(beta)
@@ -155,12 +161,6 @@ def equivalence_sweep(max_weight: int) -> SweepReport:
                     report.fail("order-equivalence", f"{y.to_text()} vs {z.to_text()}")
                 if hom_leq(y, z, bound=beta.max_part + 4) != hom:
                     report.fail("test-set-bound", f"{y.to_text()} vs {z.to_text()}")
-                for probe in probes:
-                    if delta_hom(y, z, probe) != 0:
-                        report.fail(
-                            "picket-delta-zero",
-                            f"{probe.to_text()} on {y.to_text()} vs {z.to_text()}",
-                        )
         maximal, minimal = extrema(beta, gamma)
         if len(maximal) != 1:
             report.fail("unique-maximal", f"type ({beta.to_text()};{gamma.to_text()})")
@@ -242,9 +242,9 @@ def region_check(pairs: int, max_point: int, seed: int) -> list[str]:
     for move, smaller, larger in random_unit_pairs(pairs, max_point, seed):
         beta = object_type(smaller)[0]
         pred = region(move)
-        for x in test_set(beta):
+        for x, delta in zip(test_set(beta), delta_profile(smaller, larger)):
             expected = 1 if pred(x) else 0
-            if delta_hom(smaller, larger, x) != expected:
+            if delta != expected:
                 failures.append(f"{move} at {x.to_text()}")
                 break
     return failures

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from arcdeg.objects import S2Object
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # The standard worked pair used by the hom and reduction tests: two
 # objects of type ((7,6,5,4,3,2,1); (6,5,4,3,2,1)) with DESCENT_Y
@@ -20,3 +27,13 @@ def weight8_sweep():
     from arcdeg.verify import equivalence_sweep
 
     return equivalence_sweep(8)
+
+
+def run_python(*args, cwd=None):
+    """Run a fresh interpreter with src/ on the import path; returns the
+    completed process with its text output captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )

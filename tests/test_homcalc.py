@@ -8,6 +8,7 @@ from arcdeg.homcalc import (
     band_delta_hom,
     delta_hom,
     delta_mult,
+    delta_profile,
     hom_indec,
     hom_leq,
     hom_obj,
@@ -16,8 +17,9 @@ from arcdeg.homcalc import (
     test_set as hom_test_set,
 )
 from arcdeg.moves import Move, unit_pair
-from arcdeg.objects import B2, P0, P1, P2, S2Object, enumerate_objects
+from arcdeg.objects import B2, P0, P1, P2, S2Object, enumerate_objects, object_type
 from arcdeg.partitions import Partition
+from arcdeg.verify import random_same_type_pairs
 
 from conftest import DESCENT_Y, DESCENT_Z
 
@@ -62,6 +64,16 @@ def test_delta_requires_same_type():
         delta_mult(DESCENT_Y, other, P1(1))
     with pytest.raises(TypeMismatch):
         hom_leq(DESCENT_Y, other)
+    with pytest.raises(TypeMismatch):
+        delta_profile(DESCENT_Y, other)
+
+
+def test_delta_profile_matches_delta_hom():
+    for y, z in random_same_type_pairs(200, 8, seed=11):
+        beta = object_type(y)[0]
+        for bound in (None, beta.max_part + 4):
+            expected = [delta_hom(y, z, x) for x in hom_test_set(beta, bound)]
+            assert list(delta_profile(y, z, bound)) == expected
 
 
 def test_test_set_examples():

@@ -3,10 +3,34 @@ import json
 import pytest
 
 from arcdeg.cli import main
+from arcdeg.objects import enumerate_objects
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions, iter_types, mesh_check, region_check, subpartitions
 
-from conftest import DESCENT_Y, DESCENT_Z
+from conftest import DESCENT_Y, DESCENT_Z, run_python
+
+# Faults are injected in a fresh interpreter: patched in this process they
+# would leave wrong entries in the session-wide type-graph, closure and
+# hom-profile caches.
+ROLES_FAULT = """
+import sys
+from arcdeg import objects
+from arcdeg.cli import main
+from arcdeg.objects import B2
+roles = objects._roles
+objects._roles = lambda m, rest: (role for role in roles(m, rest) if role[1] != B2(4, 1))
+sys.exit(main(["verify", "--beta-max", "6"]))
+"""
+
+HOM_FAULT = """
+import json
+from arcdeg import homcalc
+from arcdeg.objects import P0
+from arcdeg.verify import equivalence_sweep
+table = homcalc.hom_indec
+homcalc.hom_indec = lambda x, y: table(x, y) + (x == P0(2) and y.kind == "B2")
+print(json.dumps(equivalence_sweep(6).failures.get("picket-delta-zero", [])))
+"""
 
 
 def test_all_partitions_counts():
@@ -182,6 +206,33 @@ def test_cli_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "dim", "--object", "Q(3)")
     assert code == 2
     assert "error" in err
+
+
+def test_cli_verify_reports_a_move_that_leaves_the_type():
+    # enumeration drops B2(4,1), so some moves lead to an object never enumerated
+    proc = run_python("-c", ROLES_FAULT)
+    assert proc.returncode == 1, proc.stderr
+    assert "FAILED move-type" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_sweep_picket_check_names_each_failing_object_once():
+    # [P0(2), B2] one too large makes [P0(2), o] grow with the bipicket
+    # count of o, so it differs from the first object's value exactly where
+    # the bipicket counts differ
+    proc = run_python("-c", HOM_FAULT)
+    assert proc.returncode == 0, proc.stderr
+    expected = []
+    for beta, gamma in iter_types(6):
+        objects = enumerate_objects(beta, gamma)
+        counts = [sum(s.kind == "B2" for s in o.summands) for o in objects]
+        expected += [
+            f"P0(2) on {objects[0].to_text()} vs {o.to_text()}"
+            for o, count in zip(objects, counts)
+            if count != counts[0]
+        ]
+    assert expected
+    assert json.loads(proc.stdout) == expected
 
 
 def test_cli_verify_small(capsys):
