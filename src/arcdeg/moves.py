@@ -14,9 +14,13 @@ Each move carries a short exact sequence witness whose middle term is
 the smaller side's replaced summands and whose end terms are the larger
 side's, and a region of test objects on which the hom delta of a pair
 differing by the move alone equals 1.  The reflexive-transitive closure
-of the moves is the arc order; this module also computes Hasse diagrams
-(single moves need not be covers, so a transitive reduction is taken)
-and poset extrema for a fixed type.
+of the moves is the arc order.  A point query (``arc_leq``) walks the
+cached down-closure of one diagram.  For a whole type, the objects get
+integer ids and the moves are applied to integer arc and pole tuples;
+the closure is one bitset per object, built in ascending (poles,
+crossings) order, which is topological since every move lowers that
+pair.  From it come Hasse diagrams (single moves need not be covers, so
+the transitive reduction is taken) and poset extrema.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .objects import (
     crossings,
     diagram_of_object,
     enumerate_objects,
-    object_of_diagram,
     require_same_type,
 )
 from .partitions import Partition
@@ -97,47 +100,57 @@ class Move:
         return (_KINDS.index(self.kind), self.points)
 
 
+def _move_candidates(arcs, poles):
+    """(kind, points) of every down-move on a diagram with these arcs
+    and poles (each in descending order, repeats allowed), unordered."""
+    arc_values = tuple(dict.fromkeys(arcs))
+    pole_values = tuple(dict.fromkeys(poles))
+    for i, (m1, r1) in enumerate(arc_values):
+        for m2, r2 in arc_values[i + 1:]:
+            # arc_values is sorted descending, so (m1, r1) >= (m2, r2)
+            if m1 > m2 > r1 > r2:
+                yield "A", (m1, m2, r1, r2)
+                yield "C", (m1, m2, r1, r2)
+    for m, s in arc_values:
+        for r in pole_values:
+            if m > r > s:
+                yield "B", (m, r, s)
+                yield "D", (m, r, s)
+    for i, m in enumerate(pole_values):
+        for r in pole_values[i + 1:]:
+            yield "E", (m, r)
+
+
+def _replace_pieces(kind: str, pts: tuple[int, ...], arcs, poles):
+    """The (arcs, poles) lists after a move of this kind on these points
+    replaces its pieces; raises ValueError when a removed piece is
+    missing (with multiplicity)."""
+    arcs_out, poles_out, arcs_in, poles_in = _MOVE_PIECES[kind]
+    arcs = list(arcs)
+    poles = list(poles)
+    for i, j in arcs_out:
+        arcs.remove((pts[i], pts[j]))
+    for i in poles_out:
+        poles.remove(pts[i])
+    arcs += [(pts[i], pts[j]) for i, j in arcs_in]
+    poles += [pts[i] for i in poles_in]
+    return arcs, poles
+
+
 def apply_down(diagram: ArcDiagram, move: Move) -> ArcDiagram:
     """Apply a down-move; raises :class:`MoveNotApplicable` when the
     required arcs or poles are missing (with multiplicity)."""
-    arcs_out, poles_out, arcs_in, poles_in = _MOVE_PIECES[move.kind]
-    pts = move.points
-    arcs = list(diagram.arcs)
-    poles = list(diagram.poles)
     try:
-        for i, j in arcs_out:
-            arcs.remove((pts[i], pts[j]))
-        for i in poles_out:
-            poles.remove(pts[i])
+        arcs, poles = _replace_pieces(move.kind, move.points, diagram.arcs, diagram.poles)
     except ValueError:
         raise MoveNotApplicable(f"{move} does not apply to {diagram}") from None
-    for i, j in arcs_in:
-        arcs.append((pts[i], pts[j]))
-    for i in poles_in:
-        poles.append(pts[i])
     return ArcDiagram.of(arcs, poles, diagram.loops)
 
 
 def down_moves(diagram: ArcDiagram) -> list[tuple[Move, ArcDiagram]]:
     """All distinct applicable down-moves with their results, ordered by
     kind A < B < C < D < E and then lexicographically on the points."""
-    arc_values = sorted(set(diagram.arcs), reverse=True)
-    pole_values = sorted(set(diagram.poles), reverse=True)
-    moves: list[Move] = []
-    for i, (m1, r1) in enumerate(arc_values):
-        for m2, r2 in arc_values[i + 1:]:
-            # arc_values is sorted descending, so (m1, r1) >= (m2, r2)
-            if m1 > m2 > r1 > r2:
-                moves.append(Move("A", (m1, m2, r1, r2)))
-                moves.append(Move("C", (m1, m2, r1, r2)))
-    for m, s in arc_values:
-        for r in pole_values:
-            if m > r > s:
-                moves.append(Move("B", (m, r, s)))
-                moves.append(Move("D", (m, r, s)))
-    for i, m in enumerate(pole_values):
-        for r in pole_values[i + 1:]:
-            moves.append(Move("E", (m, r)))
+    moves = [Move(kind, pts) for kind, pts in _move_candidates(diagram.arcs, diagram.poles)]
     moves.sort(key=lambda mv: mv.sort_key)
     return [(mv, apply_down(diagram, mv)) for mv in moves]
 
@@ -225,46 +238,61 @@ def arc_leq(y: S2Object, z: S2Object) -> bool:
 
 @lru_cache(maxsize=None)
 def _type_graph(beta: Partition, gamma: Partition):
-    """Objects of a type plus the single-move successor relation on them."""
+    """Objects of a type in canonical order, plus for each object the
+    sorted ids (positions in that order) of its single-move successors."""
     nodes = tuple(enumerate_objects(beta, gamma))
-    by_diagram = {diagram_of_object(o): o for o in nodes}
-    succ: dict[S2Object, tuple[S2Object, ...]] = {}
-    for obj in nodes:
-        seen: list[S2Object] = []
-        for _, nxt in down_moves(diagram_of_object(obj)):
-            target = by_diagram.get(nxt)
+    diagrams = [diagram_of_object(o) for o in nodes]
+    ids = {(d.arcs, d.poles, d.loops): i for i, d in enumerate(diagrams)}
+    succ = []
+    for d in diagrams:
+        targets = set()
+        for kind, pts in _move_candidates(d.arcs, d.poles):
+            arcs, poles = _replace_pieces(kind, pts, d.arcs, d.poles)
+            key = (tuple(sorted(arcs, reverse=True)), tuple(sorted(poles, reverse=True)), d.loops)
+            j = ids.get(key)
             # a move that leaves the type is the sweep's move-type failure
-            if target is not None and target not in seen:
-                seen.append(target)
-        succ[obj] = tuple(seen)
-    return nodes, succ
+            if j is not None:
+                targets.add(j)
+        succ.append(tuple(sorted(targets)))
+    return nodes, tuple(succ)
+
+
+def _cover_ids(succ, diagrams: list[ArcDiagram]) -> list[tuple[int, int]]:
+    """Cover edges (i, j) of a type graph, in (i, j) order: its
+    transitive reduction, from one bitset closure per node."""
+    # every move lowers (poles, crossings), so successors come first
+    order = sorted(range(len(succ)), key=lambda i: (len(diagrams[i].poles), crossings(diagrams[i])))
+    reach = [0] * len(succ)
+    for i in order:
+        bits = 1 << i
+        for j in succ[i]:
+            bits |= reach[j]
+        reach[i] = bits
+    edges = []
+    for i, targets in enumerate(succ):
+        # the targets some other successor reaches are not covers
+        below = 0
+        for k in targets:
+            below |= reach[k] ^ (1 << k)
+        edges += [(i, j) for j in targets if not below >> j & 1]
+    return edges
 
 
 def hasse(beta: Partition, gamma: Partition) -> list[tuple[S2Object, S2Object]]:
     """Cover edges of the arc order on all objects of the type, directed
     from the greater object to the smaller, in canonical order."""
     nodes, succ = _type_graph(beta, gamma)
-    closure: dict[S2Object, frozenset[ArcDiagram]] = {
-        o: _down_closure(diagram_of_object(o)) for o in nodes
-    }
-    edges: list[tuple[S2Object, S2Object]] = []
-    for u in nodes:
-        for v in succ[u]:
-            dv = diagram_of_object(v)
-            if any(w != v and dv in closure[w] for w in succ[u]):
-                continue
-            edges.append((u, v))
-    edges.sort(key=lambda e: (e[0].sort_key, e[1].sort_key))
-    return edges
+    diagrams = [diagram_of_object(o) for o in nodes]
+    return [(nodes[i], nodes[j]) for i, j in _cover_ids(succ, diagrams)]
 
 
 def extrema(beta: Partition, gamma: Partition) -> tuple[list[S2Object], list[S2Object]]:
     """(maximal, minimal) elements of the arc order on the type: objects
     with no up-move, respectively no down-move."""
     nodes, succ = _type_graph(beta, gamma)
-    has_incoming = {v for targets in succ.values() for v in targets}
-    maximal = [o for o in nodes if o not in has_incoming]
-    minimal = [o for o in nodes if not succ[o]]
+    has_incoming = {j for targets in succ for j in targets}
+    maximal = [o for i, o in enumerate(nodes) if i not in has_incoming]
+    minimal = [o for o, targets in zip(nodes, succ) if not targets]
     return maximal, minimal
 
 
@@ -274,18 +302,16 @@ def hasse_dot(beta: Partition, gamma: Partition) -> str:
     from .geometry import stratum_dim
     from .objects import alpha_of
 
-    nodes, _ = _type_graph(beta, gamma)
-    ids = {o: f"n{i}" for i, o in enumerate(nodes)}
+    nodes, succ = _type_graph(beta, gamma)
+    diagrams = [diagram_of_object(o) for o in nodes]
     lines = ["digraph hasse {", "  rankdir=TB;", "  node [shape=box];"]
-    for o in nodes:
-        d = diagram_of_object(o)
+    for i, (o, d) in enumerate(zip(nodes, diagrams)):
         label = (
             f"{d.to_text()}\\nalpha={alpha_of(o).to_text() or '()'}"
             f" x={crossings(d)} dim={stratum_dim(o)}"
         )
-        lines.append(f'  {ids[o]} [label="{label}"];')
-    for u, v in hasse(beta, gamma):
-        lines.append(f"  {ids[u]} -> {ids[v]};")
+        lines.append(f'  n{i} [label="{label}"];')
+    lines += [f"  n{i} -> n{j};" for i, j in _cover_ids(succ, diagrams)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

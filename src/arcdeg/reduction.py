@@ -23,17 +23,17 @@ explicitly, so every returned move is valid.
 from __future__ import annotations
 
 from .errors import InternalInvariantViolation, NoDescentMove, NotComparable
-from .homcalc import delta_mult, delta_profile, hom_leq, test_set
+from .homcalc import delta_profile, hom_leq, test_set
 from .moves import Move, apply_down, down_moves, region, ses_witness
 from .objects import S2Object, diagram_of_object, object_of_diagram, object_type
 
 
 def _admissible(y: S2Object, z: S2Object, move: Move, members, deltas) -> bool:
+    # the caller has checked that y and z share a type
     left, _, right = ses_witness(move)
-    if delta_mult(y, z, left.summands[0]) <= 0:
-        return False
-    if delta_mult(y, z, right.summands[0]) <= 0:
-        return False
+    for end in (left.summands[0], right.summands[0]):
+        if z.multiplicity(end) <= y.multiplicity(end):
+            return False
     pred = region(move)
     return all(d >= 1 for x, d in zip(members, deltas) if pred(x))
 

@@ -6,6 +6,7 @@ from arcdeg.errors import MoveNotApplicable, TypeMismatch
 from arcdeg.homcalc import delta_hom, hom_obj, test_set as hom_test_set
 from arcdeg.moves import (
     Move,
+    _type_graph,
     apply_down,
     arc_leq,
     down_moves,
@@ -30,6 +31,7 @@ from arcdeg.objects import (
     object_type,
 )
 from arcdeg.partitions import Partition
+from arcdeg.verify import iter_types
 
 from conftest import DESCENT_Y, DESCENT_Z
 
@@ -248,6 +250,62 @@ def test_hasse_ten_element_poset():
 def test_hasse_single_element_type():
     beta = Partition.of(3, 1)
     assert hasse(beta, beta) == []
+
+
+def _reference_hasse(beta, gamma):
+    """The cover relation computed the slow way: one recursive frozenset
+    closure of diagrams per node, a membership test per sibling pair,
+    then a sort of the edges by the objects' sort keys."""
+    nodes = enumerate_objects(beta, gamma)
+    by_diagram = {diagram_of_object(o): o for o in nodes}
+    closures = {}
+
+    def closure(d):
+        if d not in closures:
+            reach = {d}
+            for _, nxt in down_moves(d):
+                reach |= closure(nxt)
+            closures[d] = frozenset(reach)
+        return closures[d]
+
+    edges = []
+    for u in nodes:
+        succ = list(dict.fromkeys(
+            by_diagram[nxt] for _, nxt in down_moves(diagram_of_object(u)) if nxt in by_diagram
+        ))
+        for v in succ:
+            dv = diagram_of_object(v)
+            if not any(w != v and dv in closure(diagram_of_object(w)) for w in succ):
+                edges.append((u, v))
+    edges.sort(key=lambda e: (e[0].sort_key, e[1].sort_key))
+    return edges
+
+
+def test_type_graph_matches_down_moves_up_to_weight_8():
+    for beta, gamma in iter_types(8):
+        nodes, succ = _type_graph(beta, gamma)
+        ids = {diagram_of_object(o): i for i, o in enumerate(nodes)}
+        assert list(nodes) == sorted(nodes, key=lambda o: o.sort_key)
+        for i, o in enumerate(nodes):
+            d = diagram_of_object(o)
+            expected = sorted({ids[nxt] for _, nxt in down_moves(d) if nxt in ids})
+            assert list(succ[i]) == expected
+            # every move lowers (poles, crossings): the closure order is topological
+            rank = (len(d.poles), crossings(d))
+            for j in succ[i]:
+                dj = diagram_of_object(nodes[j])
+                assert (len(dj.poles), crossings(dj)) < rank
+
+
+def test_hasse_matches_reference_up_to_weight_8():
+    for beta, gamma in iter_types(8):
+        assert hasse(beta, gamma) == _reference_hasse(beta, gamma)
+
+
+def test_hasse_matches_reference_on_staircase_7():
+    beta, gamma = Partition.of(7, 6, 5, 4, 3, 2, 1), Partition.of(6, 5, 4, 3, 2, 1)
+    edges = hasse(beta, gamma)
+    assert edges and edges == _reference_hasse(beta, gamma)
 
 
 def test_extrema_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -164,6 +165,18 @@ def test_cli_hasse_dot(tmp_path, capsys):
     dot = path.read_text()
     assert dot.count("->") == 4
     assert dot.startswith("digraph")
+
+
+def test_cli_hasse_dot_is_byte_identical_on_staircase_8(capsys):
+    # digest recorded from the frozenset-closure implementation
+    code, out, _ = run_cli(
+        capsys, "hasse", "--beta", "8,7,6,5,4,3,2,1", "--gamma", "7,6,5,4,3,2,1", "--dot", "-"
+    )
+    assert code == 0
+    assert out.count("->") == 3181
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7d6b36d0e888ec593633d090dfa00c7dc09593c1a7985ec8e34a8e105dfab8fd"
+    )
 
 
 def test_cli_hasse_dot_unwritable_path_exit_code(tmp_path, capsys):
