@@ -19,14 +19,14 @@ def stratum_dim(obj: S2Object) -> int:
 
         |alpha|^2 - aut_degree(alpha) + |beta|^2 - aut_degree(beta) + subspace_orbit_dim
     """
-    beta = object_type(obj)[0]
+    beta, gamma = object_type(obj)
     alpha = alpha_of(obj)
     return (
         alpha.weight() ** 2
         - aut_degree(alpha)
         + beta.weight() ** 2
         - aut_degree(beta)
-        + subspace_orbit_dim(obj)
+        + _orbit_dim(alpha, beta, gamma, crossings(diagram_of_object(obj)))
     )
 
 
@@ -47,6 +47,8 @@ def subspace_orbit_dim(obj: S2Object) -> int:
     groups of subspace and ambient space, with all three types fixed:
     hall_degree + aut_degree(alpha) - crossings."""
     beta, gamma = object_type(obj)
-    alpha = alpha_of(obj)
-    x = crossings(diagram_of_object(obj))
+    return _orbit_dim(alpha_of(obj), beta, gamma, crossings(diagram_of_object(obj)))
+
+
+def _orbit_dim(alpha: Partition, beta: Partition, gamma: Partition, x: int) -> int:
     return hall_degree(alpha, beta, gamma) + aut_degree(alpha) - x

@@ -4,6 +4,14 @@ extension to objects, the difference data attached to a same-type pair
 over the whole test set), the finite test set that decides the hom
 order, and the four-term mesh identity relating the two kinds of delta.
 
+Hom values against many objects come from one kernel, ``_hom_rows(xs,
+objects)``: for each object the tuple of [x, o] over the indecomposables
+xs, summed from one column of table values per distinct summand.  A
+whole type's hom order is then one matrix (objects by test set) with y
+below z iff row y is entrywise at most row z; the sweep reads it this
+way.  Point queries take one cached row per object (``_hom_profile``,
+the same kernel on a single object).
+
 The dimension of the morphism space between two indecomposables is a
 closed formula in the parameters, built from truncated minima:
 
@@ -113,10 +121,24 @@ def test_set(beta: Partition, bound: int | None = None) -> tuple[Indecomposable,
     return tuple(members)
 
 
+def _hom_rows(xs, objects) -> list[tuple[int, ...]]:
+    """For each object o, the tuple of [x, o] over the indecomposables xs:
+    one column of ``hom_indec`` values per distinct summand, summed."""
+    cols: dict[Indecomposable, tuple[int, ...]] = {}
+    rows = []
+    for o in objects:
+        for s in o.summands:
+            if s not in cols:
+                cols[s] = tuple(hom_indec(x, s) for x in xs)
+        summed = [cols[s] for s in o.summands]
+        # the zero object has no column to sum
+        rows.append(tuple(map(sum, zip(*summed))) if summed else (0,) * len(xs))
+    return rows
+
+
 @lru_cache(maxsize=None)
 def _hom_profile(obj: S2Object, bound: int | None) -> tuple[int, ...]:
-    beta = object_type(obj)[0]
-    return tuple(_hom_against(x, obj) for x in test_set(beta, bound))
+    return _hom_rows(test_set(object_type(obj)[0], bound), (obj,))[0]
 
 
 def delta_profile(y: S2Object, z: S2Object, bound: int | None = None) -> tuple[int, ...]:

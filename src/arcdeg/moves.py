@@ -17,10 +17,11 @@ differing by the move alone equals 1.  The reflexive-transitive closure
 of the moves is the arc order.  A point query (``arc_leq``) walks the
 cached down-closure of one diagram.  For a whole type, the objects get
 integer ids and the moves are applied to integer arc and pole tuples;
-the closure is one bitset per object, built in ascending (poles,
-crossings) order, which is topological since every move lowers that
-pair.  From it come Hasse diagrams (single moves need not be covers, so
-the transitive reduction is taken) and poset extrema.
+the closure is one bitset per object (``_reach_ids``), built in
+ascending (poles, crossings) order, which is topological since every
+move lowers that pair.  From it come Hasse diagrams (single moves need
+not be covers, so the transitive reduction is taken), poset extrema,
+and the arc order on every pair that the verification sweep reads.
 """
 
 from __future__ import annotations
@@ -257,9 +258,10 @@ def _type_graph(beta: Partition, gamma: Partition):
     return nodes, tuple(succ)
 
 
-def _cover_ids(succ, diagrams: list[ArcDiagram]) -> list[tuple[int, int]]:
-    """Cover edges (i, j) of a type graph, in (i, j) order: its
-    transitive reduction, from one bitset closure per node."""
+def _reach_ids(succ, diagrams: list[ArcDiagram]) -> list[int]:
+    """The reflexive-transitive closure of a type graph, as one bitset
+    per node: bit j of ``reach[i]`` is set iff node j lies below node i
+    in the arc order."""
     # every move lowers (poles, crossings), so successors come first
     order = sorted(range(len(succ)), key=lambda i: (len(diagrams[i].poles), crossings(diagrams[i])))
     reach = [0] * len(succ)
@@ -268,6 +270,13 @@ def _cover_ids(succ, diagrams: list[ArcDiagram]) -> list[tuple[int, int]]:
         for j in succ[i]:
             bits |= reach[j]
         reach[i] = bits
+    return reach
+
+
+def _cover_ids(succ, diagrams: list[ArcDiagram]) -> list[tuple[int, int]]:
+    """Cover edges (i, j) of a type graph, in (i, j) order: its
+    transitive reduction, from one bitset closure per node."""
+    reach = _reach_ids(succ, diagrams)
     edges = []
     for i, targets in enumerate(succ):
         # the targets some other successor reaches are not covers

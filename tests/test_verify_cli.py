@@ -4,7 +4,9 @@ import json
 import pytest
 
 from arcdeg.cli import main
-from arcdeg.objects import enumerate_objects
+from arcdeg.homcalc import _hom_rows, hom_leq, hom_obj, test_set as hom_test_set
+from arcdeg.moves import _reach_ids, _type_graph, arc_leq
+from arcdeg.objects import S2Object, diagram_of_object, enumerate_objects
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions, iter_types, mesh_check, region_check, subpartitions
 
@@ -31,6 +33,17 @@ from arcdeg.verify import equivalence_sweep
 table = homcalc.hom_indec
 homcalc.hom_indec = lambda x, y: table(x, y) + (x == P0(2) and y.kind == "B2")
 print(json.dumps(equivalence_sweep(6).failures.get("picket-delta-zero", [])))
+"""
+
+# [P1(2), B2] one too large breaks the hom order itself, not only a picket
+ORDER_FAULT = """
+import json
+from arcdeg import homcalc
+from arcdeg.objects import P1
+from arcdeg.verify import equivalence_sweep
+table = homcalc.hom_indec
+homcalc.hom_indec = lambda x, y: table(x, y) + (x == P1(2) and y.kind == "B2")
+print(json.dumps(equivalence_sweep(6).failures))
 """
 
 
@@ -246,6 +259,41 @@ def test_sweep_picket_check_names_each_failing_object_once():
         ]
     assert expected
     assert json.loads(proc.stdout) == expected
+
+
+def test_sweep_order_fault_report():
+    proc = run_python("-c", ORDER_FAULT)
+    assert proc.returncode == 0, proc.stderr
+    failures = json.loads(proc.stdout)
+    assert {kind: len(msgs) for kind, msgs in failures.items()} == {
+        "dimension-identity": 1,
+        "order-equivalence": 13,
+    }
+    assert failures["order-equivalence"][0] == "B(5,1) vs P1(5)+P1(1)"
+
+
+def test_sweep_tables_match_point_queries_up_to_weight_7():
+    # the sweep reads both orders from whole-type tables; the per-pair
+    # hom_leq and arc_leq stay the reference
+    pairs = 0
+    for beta, gamma in iter_types(7):
+        objects, succ = _type_graph(beta, gamma)
+        if not objects:
+            continue
+        xs = hom_test_set(beta)
+        rows = _hom_rows(xs, objects)
+        for o, row in zip(objects, rows):
+            assert row == tuple(hom_obj(S2Object.of(x), o) for x in xs)
+        wide = beta.max_part + 4
+        wide_rows = _hom_rows(hom_test_set(beta, wide), objects)
+        reach = _reach_ids(succ, [diagram_of_object(o) for o in objects])
+        for i, y in enumerate(objects):
+            for j, z in enumerate(objects):
+                pairs += 1
+                assert all(a <= b for a, b in zip(rows[i], rows[j])) == hom_leq(y, z)
+                assert all(a <= b for a, b in zip(wide_rows[i], wide_rows[j])) == hom_leq(y, z, wide)
+                assert bool(reach[j] >> i & 1) == arc_leq(y, z)
+    assert pairs == 703  # as in equivalence_sweep(7)
 
 
 def test_cli_verify_small(capsys):
