@@ -16,6 +16,10 @@ def alpha_for_type(beta: Partition, gamma: Partition) -> Partition:
     """The subspace type forced on minimal elements: all parts 2, plus a
     single 1 when the weight difference is odd."""
     require_contains(beta, gamma)
+    return _minimal_alpha(beta, gamma)
+
+
+def _minimal_alpha(beta: Partition, gamma: Partition) -> Partition:
     diff = beta.weight() - gamma.weight()
     return Partition((2,) * (diff // 2) + (1,) * (diff % 2))
 
@@ -74,6 +78,7 @@ def minimal_count_prediction(beta: Partition, gamma: Partition) -> int | None:
     per column (equivalently, no diagram of the type carries a doubled
     pole).  Returns None when that hypothesis fails; raises
     :class:`TypeMismatch` when gamma does not fit in beta."""
+    # is_column_strip raises TypeMismatch when gamma does not fit in beta
     if not is_column_strip(beta, gamma):
         return None
-    return lr_coefficient(alpha_for_type(beta, gamma), gamma, beta)
+    return lr_coefficient(_minimal_alpha(beta, gamma), gamma, beta)

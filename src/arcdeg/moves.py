@@ -14,8 +14,10 @@ Each move carries a short exact sequence witness whose middle term is
 the smaller side's replaced summands and whose end terms are the larger
 side's, and a region of test objects on which the hom delta of a pair
 differing by the move alone equals 1.  The reflexive-transitive closure
-of the moves is the arc order.  A point query (``arc_leq``) walks the
-cached down-closure of one diagram.  For a whole type, the objects get
+of the moves is the arc order.  A point query (``arc_leq``) searches,
+with an explicit stack, the down-closure of the integer (arcs, poles)
+tuples of one diagram, cached per queried diagram; loops, which no move
+touches, are compared apart.  For a whole type, the objects get
 integer ids and the moves are applied to integer arc and pole tuples;
 the closure is one bitset per object (``_reach_ids``), built in
 ascending (poles, crossings) order, which is topological since every
@@ -222,11 +224,27 @@ def region(move: Move) -> Callable[[Indecomposable], bool]:
     return pred
 
 
+def _move_targets(arcs, poles):
+    """The (arcs, poles) of every single down-move result, each sorted
+    descending, as integer tuples; repeats are possible."""
+    for kind, pts in _move_candidates(arcs, poles):
+        arcs_to, poles_to = _replace_pieces(kind, pts, arcs, poles)
+        yield tuple(sorted(arcs_to, reverse=True)), tuple(sorted(poles_to, reverse=True))
+
+
 @lru_cache(maxsize=None)
-def _down_closure(diagram: ArcDiagram) -> frozenset[ArcDiagram]:
-    reach = {diagram}
-    for _, nxt in down_moves(diagram):
-        reach |= _down_closure(nxt)
+def _down_closure(arcs, poles) -> frozenset:
+    """Every (arcs, poles) reachable from these by down-moves, the start
+    included: one entry per queried start, found by an explicit-stack
+    search (moves leave loops alone)."""
+    start = (arcs, poles)
+    reach = {start}
+    stack = [start]
+    while stack:
+        for nxt in _move_targets(*stack.pop()):
+            if nxt not in reach:
+                reach.add(nxt)
+                stack.append(nxt)
     return frozenset(reach)
 
 
@@ -234,23 +252,25 @@ def arc_leq(y: S2Object, z: S2Object) -> bool:
     """True when the diagram of y is reachable from the diagram of z by
     a (possibly empty) sequence of down-moves."""
     require_same_type(y, z)
-    return diagram_of_object(y) in _down_closure(diagram_of_object(z))
+    dy, dz = diagram_of_object(y), diagram_of_object(z)
+    return dy.loops == dz.loops and (dy.arcs, dy.poles) in _down_closure(dz.arcs, dz.poles)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _type_graph(beta: Partition, gamma: Partition):
     """Objects of a type in canonical order, plus for each object the
-    sorted ids (positions in that order) of its single-move successors."""
+    sorted ids (positions in that order) of its single-move successors.
+
+    Each caller reads a type right after building it, so a few recent
+    types are kept."""
     nodes = tuple(enumerate_objects(beta, gamma))
     diagrams = [diagram_of_object(o) for o in nodes]
     ids = {(d.arcs, d.poles, d.loops): i for i, d in enumerate(diagrams)}
     succ = []
     for d in diagrams:
         targets = set()
-        for kind, pts in _move_candidates(d.arcs, d.poles):
-            arcs, poles = _replace_pieces(kind, pts, d.arcs, d.poles)
-            key = (tuple(sorted(arcs, reverse=True)), tuple(sorted(poles, reverse=True)), d.loops)
-            j = ids.get(key)
+        for arcs, poles in _move_targets(d.arcs, d.poles):
+            j = ids.get((arcs, poles, d.loops))
             # a move that leaves the type is the sweep's move-type failure
             if j is not None:
                 targets.add(j)

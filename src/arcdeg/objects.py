@@ -17,12 +17,16 @@ that embedding decomposes as ``P2(m) + P0(m-1)``.  Arc diagrams record
 one arc per ``B2(m, r)``, one arc (m, m-1) per ``P2(m) + P0(m-1)`` pair,
 one pole per ``P1``, and one loop per unpaired ``P2``; ``P0`` summands
 are invisible.
+
+An object's (ambient, quotient) type is derived once, by the first
+``object_type`` call, and kept on the object in a field that takes no
+part in equality, hashing, ``repr`` or the text form.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InconsistentDiagram, TypeMismatch
@@ -130,6 +134,8 @@ class S2Object:
     """
 
     summands: tuple[Indecomposable, ...] = ()
+    # (ambient, quotient) type, filled by the first object_type call
+    _type: tuple[Partition, Partition] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "summands", tuple(sorted(self.summands, key=lambda s: s.sort_key)))
@@ -253,13 +259,16 @@ class ArcDiagram:
 
 
 def object_type(obj: S2Object) -> tuple[Partition, Partition]:
-    """The (ambient, quotient) pair of Jordan types of an object."""
-    beta: list[int] = []
-    gamma: list[int] = []
-    for s in obj.summands:
-        beta.extend(s.ambient_parts())
-        gamma.extend(s.quotient_parts())
-    return Partition(tuple(beta)), Partition(tuple(gamma))
+    """The (ambient, quotient) pair of Jordan types of an object,
+    computed once per object and kept on it."""
+    if obj._type is None:
+        beta: list[int] = []
+        gamma: list[int] = []
+        for s in obj.summands:
+            beta.extend(s.ambient_parts())
+            gamma.extend(s.quotient_parts())
+        object.__setattr__(obj, "_type", (Partition(tuple(beta)), Partition(tuple(gamma))))
+    return obj._type
 
 
 def require_same_type(y: S2Object, z: S2Object) -> Partition:

@@ -4,9 +4,10 @@ Objects are realized as explicit nilpotent block-Jordan matrices over a
 small prime field together with the embedding of the invariant
 subspace; the dimension of a morphism space is then the corank of the
 linear system expressing the two intertwining conditions and the
-compatibility square.  All arithmetic is exact (integers mod p,
-Gaussian elimination with deterministic pivoting); no floating point is
-involved anywhere.
+compatibility square.  All arithmetic is exact: the system's nonzero
+entries become sparse rows of Python ints mod p, and the rank comes
+from row reduction against one pivot row per leading column.  No
+floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -121,29 +122,32 @@ def realize(obj: S2Object, p: int) -> RealizedObject:
 
 
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank over F_p by row reduction with first-nonzero pivoting."""
+    """Rank over F_p by sparse row reduction: each row is a dict of its
+    nonzero entries (Python ints) and is reduced, left to right, against
+    the pivot rows found so far, one pivot per leading column."""
     _require_prime(p)
     a = (mat % p).astype(np.int64)
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, col] % p:
-                pivot = r
+    rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
+    nz_rows, nz_cols = np.nonzero(a)
+    for r, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
+        rows[r][c] = v
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
                 break
-        if pivot is None:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = (a[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+            factor = row[lead]
+            for c, v in pivot.items():
+                value = (row.get(c, 0) - factor * v) % p
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def oracle_hom_dim(x: S2Object, y: S2Object, p: int) -> int:

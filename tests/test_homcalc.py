@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from arcdeg.errors import TypeMismatch
 from arcdeg.homcalc import (
     BandCell,
+    _hom_rows,
     band_delta_hom,
     delta_hom,
     delta_mult,
@@ -21,7 +24,7 @@ from arcdeg.objects import B2, P0, P1, P2, S2Object, enumerate_objects, object_t
 from arcdeg.partitions import Partition
 from arcdeg.verify import random_same_type_pairs
 
-from conftest import DESCENT_Y, DESCENT_Z
+from conftest import DESCENT_Y, DESCENT_Z, run_python
 
 
 def test_hom_indec_table_values():
@@ -179,3 +182,44 @@ def test_mesh_defect_report_over_a_type():
     for y in objs:
         for z in objs:
             assert mesh_defect_report(y, z, n) == []
+
+
+# Each query kind runs alone in a fresh interpreter whose hom_indec is
+# scaled by 1000, so its hom tables are empty when the patch goes in and
+# any value that bypasses hom_indec comes out unscaled.
+SCALED_HOM = """
+import json, sys
+from arcdeg import homcalc
+from arcdeg.objects import S2Object
+table = homcalc.hom_indec
+homcalc.hom_indec = lambda x, y: 1000 * table(x, y)
+y, z = (S2Object.from_text(t) for t in sys.argv[2:4])
+xs = homcalc.test_set(homcalc.object_type(y)[0])
+queries = {
+    "hom_obj": lambda: homcalc.hom_obj(y, z),
+    "delta_hom": lambda: [homcalc.delta_hom(y, z, x) for x in xs],
+    "delta_profile": lambda: homcalc.delta_profile(y, z),
+    "_hom_rows": lambda: homcalc._hom_rows(xs, (y, z)),
+}
+print(json.dumps(queries[sys.argv[1]]()))
+"""
+
+
+@pytest.mark.parametrize("query", ["hom_obj", "delta_hom", "delta_profile", "_hom_rows"])
+def test_hom_tables_are_filled_through_hom_indec(query):
+    y, z = DESCENT_Y, DESCENT_Z
+    xs = hom_test_set(object_type(y)[0])
+    expected = {
+        "hom_obj": lambda: hom_obj(y, z),
+        "delta_hom": lambda: [delta_hom(y, z, x) for x in xs],
+        "delta_profile": lambda: list(delta_profile(y, z)),
+        "_hom_rows": lambda: [list(row) for row in _hom_rows(xs, (y, z))],
+    }[query]()
+    proc = run_python("-c", SCALED_HOM, query, y.to_text(), z.to_text())
+    assert proc.returncode == 0, proc.stderr
+
+    def scale(value):
+        return [scale(v) for v in value] if isinstance(value, list) else 1000 * value
+
+    assert scale(expected) != expected  # some value is nonzero, so the patch shows
+    assert json.loads(proc.stdout) == scale(expected)

@@ -103,6 +103,25 @@ def test_minimal_count_prediction_examples():
         minimal_count_prediction(Partition.of(2), Partition.of(3))
 
 
+
+def test_minimal_count_prediction_checks_containment_once(monkeypatch):
+    import arcdeg.lr
+    import arcdeg.partitions
+
+    calls = []
+    original = arcdeg.partitions.require_contains
+
+    def counting(beta, gamma):
+        calls.append((beta, gamma))
+        original(beta, gamma)
+
+    monkeypatch.setattr(arcdeg.partitions, "require_contains", counting)
+    monkeypatch.setattr(arcdeg.lr, "require_contains", counting)
+    assert minimal_count_prediction(Partition.of(3, 2), Partition.of(2)) == 1
+    assert len(calls) == 1
+    with pytest.raises(TypeMismatch, match=r"^3 is not contained in 2$"):
+        minimal_count_prediction(Partition.of(2), Partition.of(3))
+
 def test_prediction_matches_poset_minima_on_column_strips():
     from arcdeg.moves import extrema
     from arcdeg.verify import iter_types

@@ -6,6 +6,8 @@ from arcdeg.errors import MoveNotApplicable, TypeMismatch
 from arcdeg.homcalc import delta_hom, hom_obj, test_set as hom_test_set
 from arcdeg.moves import (
     Move,
+    _down_closure,
+    _reach_ids,
     _type_graph,
     apply_down,
     arc_leq,
@@ -205,6 +207,46 @@ def test_arc_leq_examples():
     assert arc_leq(low, high)
     with pytest.raises(TypeMismatch):
         arc_leq(DESCENT_Y, S2Object.of(P0(1)))
+
+
+def _arc_leq_matches_reach_ids(beta, gamma):
+    nodes, succ = _type_graph(beta, gamma)
+    reach = _reach_ids(succ, [diagram_of_object(o) for o in nodes])
+    for i, y in enumerate(nodes):
+        for j, z in enumerate(nodes):
+            assert arc_leq(y, z) == bool(reach[j] >> i & 1), (y.to_text(), z.to_text())
+    return nodes
+
+
+def test_arc_leq_matches_reach_ids_on_staircase_6():
+    nodes = _arc_leq_matches_reach_ids(Partition.of(6, 5, 4, 3, 2, 1), Partition.of(5, 4, 3, 2, 1))
+    assert len(nodes) == 76
+
+
+def test_arc_leq_on_objects_that_differ_only_in_loops():
+    # adding P2(7) to every object of (5,4,3,2,1; 4,3,2,1) gives every
+    # object of (7,5,4,3,2,1; 5,4,3,2,1): the same diagrams plus a loop at 7
+    beta, gamma = Partition.of(5, 4, 3, 2, 1), Partition.of(4, 3, 2, 1)
+    plain = enumerate_objects(beta, gamma)
+    looped = _arc_leq_matches_reach_ids(Partition.of(7, 5, 4, 3, 2, 1), Partition.of(5, 4, 3, 2, 1))
+    assert sorted(looped, key=lambda o: o.sort_key) == sorted(
+        (S2Object(o.summands + (P2(7),)) for o in plain), key=lambda o: o.sort_key
+    )
+    for y in plain:
+        for z in plain:
+            ly, lz = S2Object(y.summands + (P2(7),)), S2Object(z.summands + (P2(7),))
+            assert diagram_of_object(ly).loops == (7,)
+            assert arc_leq(ly, lz) == arc_leq(y, z)
+
+
+def test_down_closure_is_keyed_by_arcs_and_poles():
+    d = diagram_of_object(DESCENT_Z)
+    closure = _down_closure(d.arcs, d.poles)
+    assert (d.arcs, d.poles) in closure
+    e = diagram_of_object(DESCENT_Y)
+    assert (e.arcs, e.poles) in closure
+    assert all(type(a) is tuple and type(p) is tuple for a, p in closure)
+    assert {(x.arcs, x.poles) for _, x in down_moves(d)} <= closure
 
 
 def test_hasse_five_element_poset():

@@ -178,3 +178,33 @@ def test_text_round_trips():
     assert ArcDiagram.from_text("poles:2; arcs:7-3") == ArcDiagram.of([(7, 3)], [2], [])
     with pytest.raises(ValueError):
         S2Object.from_text("Q(3)")
+
+
+def _fresh_type(obj):
+    """object_type recomputed from the summands, without the kept field."""
+    beta = [p for s in obj.summands for p in s.ambient_parts()]
+    gamma = [p for s in obj.summands for p in s.quotient_parts()]
+    return Partition(tuple(beta)), Partition(tuple(gamma))
+
+
+def test_kept_object_type_matches_a_fresh_computation():
+    beta, gamma = Partition.of(5, 4, 3, 2, 1), Partition.of(4, 2, 1)
+    sources = [S2Object.from_text(MIXED.to_text()), S2Object.from_text("")]
+    sources += enumerate_objects(beta, gamma)
+    sources += [object_of_diagram(diagram_of_object(o), beta, gamma) for o in enumerate_objects(beta, gamma)]
+    assert len(sources) > 2
+    for obj in sources:
+        first = object_type(obj)
+        assert obj._type is first
+        assert object_type(obj) is first
+        assert first == _fresh_type(obj)
+
+
+@given(objects_strategy)
+def test_kept_object_type_leaves_equality_hash_and_text_alone(obj):
+    twin = S2Object(obj.summands)
+    object_type(obj)
+    assert obj._type is not None and twin._type is None
+    assert obj == twin and hash(obj) == hash(twin)
+    assert obj.to_text() == twin.to_text() and repr(obj) == repr(twin)
+    assert object_type(twin) == object_type(obj) == _fresh_type(obj)

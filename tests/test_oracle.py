@@ -1,10 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcdeg.homcalc import hom_obj
 from arcdeg.objects import B2, P0, P1, P2, S2Object, enumerate_objects
 from arcdeg.oracle import oracle_hom_dim, rank_mod_p, realize
 from arcdeg.verify import iter_types
+
+
+def dense_rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """Slow reference: dense row reduction with first-nonzero pivoting."""
+    a = (mat % p).astype(np.int64)
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if a[r, col] % p:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        a[[rank, pivot]] = a[[pivot, rank]]
+        inv = pow(int(a[rank, col]), -1, p)
+        a[rank] = (a[rank] * inv) % p
+        for r in range(rows):
+            if r != rank and a[r, col]:
+                a[r] = (a[r] - a[r, col] * a[rank]) % p
+        rank += 1
+        if rank == rows:
+            break
+    return rank
 
 
 def test_realize_small_picket():
@@ -92,3 +119,33 @@ def test_oracle_endomorphisms_match_table_up_to_weight_6():
     assert len(objects) == 234
     for obj in objects:
         assert oracle_hom_dim(obj, obj, 101) == hom_obj(obj, obj), obj.to_text()
+
+
+@st.composite
+def matrices(draw):
+    """Small integer matrices, wide or tall, with some zero rows and
+    columns, and often rank-deficient: some rows are combinations of
+    others."""
+    rows = draw(st.integers(min_value=0, max_value=9))
+    cols = draw(st.integers(min_value=0, max_value=9))
+    entries = st.integers(min_value=-20_000, max_value=20_000)
+    mat = np.array(
+        [[draw(entries) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
+    ).reshape(rows, cols)
+    for r in draw(st.lists(st.integers(0, 8), max_size=3)):
+        if r < rows:
+            mat[r] = 0
+    for c in draw(st.lists(st.integers(0, 8), max_size=3)):
+        if c < cols:
+            mat[:, c] = 0
+    if rows >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        mat[rows - 1] = a * mat[0] + b * mat[1]
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.sampled_from((2, 3, 101, 10007)))
+def test_sparse_rank_matches_dense_reference(mat, p):
+    assert rank_mod_p(mat, p) == dense_rank_mod_p(mat, p)
+

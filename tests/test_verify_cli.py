@@ -192,6 +192,24 @@ def test_cli_hasse_dot_is_byte_identical_on_staircase_8(capsys):
     )
 
 
+# digests recorded from the dataclass-keyed hom caches, the recursive
+# diagram closure and the dense numpy elimination
+POINT_QUERY_DIGESTS = {
+    "order": "15cd50c58ba83696a0bfc83a2a995511e9e7bdfc500e58a20499a56d26343f4c",
+    "hom": "4f8878c0e8c70b6695881e0e6140c3dadb238ba325c8b5c152c8a6b0b56fd2e3",
+    "reduce": "d2bb544ac8dedfa1a73b7d0a9e85f7f7b1a5a4b86df08bbf47c9bcdca2221f92",
+    "oracle": "ba3fc36cb6d474d5f2af2f937610c63a190d708a2fcf23562eebe6696d41445a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(POINT_QUERY_DIGESTS))
+def test_cli_point_queries_are_byte_identical_on_the_descent_pair(capsys, command):
+    first, second = ("--x", "--y") if command in ("hom", "oracle") else ("--y", "--z")
+    code, out, _ = run_cli(capsys, command, first, DESCENT_Y.to_text(), second, DESCENT_Z.to_text())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == POINT_QUERY_DIGESTS[command]
+
+
 def test_cli_hasse_dot_unwritable_path_exit_code(tmp_path, capsys):
     path = tmp_path / "missing" / "x.dot"
     code, out, err = run_cli(capsys, "hasse", "--beta", "2,1", "--gamma", "1", "--dot", str(path))
