@@ -20,13 +20,18 @@ def stratum_dim(obj: S2Object) -> int:
         |alpha|^2 - aut_degree(alpha) + |beta|^2 - aut_degree(beta) + subspace_orbit_dim
     """
     beta, gamma = object_type(obj)
-    alpha = alpha_of(obj)
+    return _stratum_dim_less_crossings(alpha_of(obj), beta, gamma) - crossings(diagram_of_object(obj))
+
+
+def _stratum_dim_less_crossings(alpha: Partition, beta: Partition, gamma: Partition) -> int:
+    """The stratum dimension plus the crossings: the part fixed by the
+    three Jordan types alone."""
     return (
         alpha.weight() ** 2
         - aut_degree(alpha)
         + beta.weight() ** 2
         - aut_degree(beta)
-        + _orbit_dim(alpha, beta, gamma, crossings(diagram_of_object(obj)))
+        + _orbit_dim(alpha, beta, gamma, 0)
     )
 
 

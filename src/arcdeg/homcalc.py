@@ -131,8 +131,12 @@ def test_set(beta: Partition, bound: int | None = None) -> tuple[Indecomposable,
     cutoff (P1 then runs to bound - 1), which is how the default cutoff
     is cross-validated.
     """
-    if bound is None:
-        bound = beta.max_part + 1
+    return _test_set(beta.max_part + 1 if bound is None else bound)
+
+
+# a test set depends only on its bipicket cutoff; one entry per cutoff in use
+@lru_cache(maxsize=32)
+def _test_set(bound: int) -> tuple[Indecomposable, ...]:
     members: list[Indecomposable] = [P1(t) for t in range(1, bound)]
     for ell in range(3, bound + 1):
         members.extend(B2(ell, t) for t in range(1, ell - 1))

@@ -328,18 +328,23 @@ def extrema(beta: Partition, gamma: Partition) -> tuple[list[S2Object], list[S2O
 def hasse_dot(beta: Partition, gamma: Partition) -> str:
     """DOT source for the Hasse diagram; one node per diagram labeled
     with its text form, subspace type, crossings and stratum dimension."""
-    from .geometry import stratum_dim
+    from .geometry import _stratum_dim_less_crossings
     from .objects import alpha_of
 
     nodes, succ = _type_graph(beta, gamma)
     diagrams = [diagram_of_object(o) for o in nodes]
+    # alpha has a 2 per arc or loop and a 1 per pole, so it and the
+    # crossing-free part of the dimension are shared by each such class
+    by_alpha: dict[tuple[int, int], tuple[str, int]] = {}
     lines = ["digraph hasse {", "  rankdir=TB;", "  node [shape=box];"]
     for i, (o, d) in enumerate(zip(nodes, diagrams)):
-        label = (
-            f"{d.to_text()}\\nalpha={alpha_of(o).to_text() or '()'}"
-            f" x={crossings(d)} dim={stratum_dim(o)}"
-        )
-        lines.append(f'  n{i} [label="{label}"];')
+        key = (len(d.arcs) + len(d.loops), len(d.poles))
+        if key not in by_alpha:
+            alpha = alpha_of(o)
+            by_alpha[key] = (alpha.to_text() or "()", _stratum_dim_less_crossings(alpha, beta, gamma))
+        alpha_text, uncrossed_dim = by_alpha[key]
+        x = crossings(d)
+        lines.append(f'  n{i} [label="{d.to_text()}\\nalpha={alpha_text} x={x} dim={uncrossed_dim - x}"];')
     lines += [f"  n{i} -> n{j};" for i, j in _cover_ids(succ, diagrams)]
     lines.append("}")
     return "\n".join(lines) + "\n"

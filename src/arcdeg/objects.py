@@ -20,7 +20,8 @@ are invisible.
 
 An object's (ambient, quotient) type is derived once, by the first
 ``object_type`` call, and kept on the object in a field that takes no
-part in equality, hashing, ``repr`` or the text form.
+part in equality, hashing, ``repr`` or the text form;
+``enumerate_objects`` fills that field with the type it was given.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class S2Object:
     """
 
     summands: tuple[Indecomposable, ...] = ()
-    # (ambient, quotient) type, filled by the first object_type call
+    # (ambient, quotient) type, filled by enumerate_objects or the first object_type call
     _type: tuple[Partition, Partition] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -407,7 +408,10 @@ def enumerate_objects(beta: Partition, gamma: Partition) -> list[S2Object]:
         beta_rem, gamma_rem, acc, prev = stack.pop()
         if not beta_rem:
             if not gamma_rem:
-                results.append(S2Object(acc))
+                obj = S2Object(acc)
+                # the type is known here, so object_type need not derive it
+                object.__setattr__(obj, "_type", (beta, gamma))
+                results.append(obj)
             continue
         if gamma_rem and gamma_rem[0] > beta_rem[0]:
             continue

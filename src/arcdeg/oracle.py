@@ -4,33 +4,45 @@ Objects are realized as explicit nilpotent block-Jordan matrices over a
 small prime field together with the embedding of the invariant
 subspace; the dimension of a morphism space is then the corank of the
 linear system expressing the two intertwining conditions and the
-compatibility square.  All arithmetic is exact: the system's nonzero
-entries become sparse rows of Python ints mod p, and the rank comes
-from row reduction against one pivot row per leading column.  No
-floating point is involved anywhere.
+compatibility square.  All arithmetic is exact: matrices are sparse rows
+of Python ints, and the rank comes from row reduction mod p against one
+pivot row per leading column.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
-
 from .objects import S2Object
-from .partitions import Partition
 
 
-def _jordan_nilpotent(parts: tuple[int, ...]) -> np.ndarray:
+@dataclass(frozen=True)
+class SparseMatrix:
+    """An integer matrix with ``ncols`` columns, stored as one dict per
+    row that maps a column index to its nonzero entry."""
+
+    rows: tuple[dict[int, int], ...]
+    ncols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.ncols
+
+    def tolist(self) -> list[list[int]]:
+        """The dense form, as a list of rows."""
+        return [[row.get(c, 0) for c in range(self.ncols)] for row in self.rows]
+
+
+def _jordan_nilpotent(parts: Sequence[int]) -> SparseMatrix:
     """Block-diagonal nilpotent matrix with one lower-shift block per part."""
-    n = sum(parts)
-    mat = np.zeros((n, n), dtype=np.int64)
-    offset = 0
+    rows: list[dict[int, int]] = []
     for m in parts:
-        for i in range(m - 1):
-            mat[offset + i + 1, offset + i] = 1
-        offset += m
-    return mat
+        offset = len(rows)
+        rows.append({})
+        rows.extend({offset + i: 1} for i in range(m - 1))
+    return SparseMatrix(tuple(rows), len(rows))
 
 
 @dataclass(frozen=True)
@@ -42,9 +54,9 @@ class RealizedObject:
     between them.
     """
 
-    sub_op: np.ndarray
-    amb_op: np.ndarray
-    embedding: np.ndarray
+    sub_op: SparseMatrix
+    amb_op: SparseMatrix
+    embedding: SparseMatrix
     prime: int
 
     @property
@@ -56,8 +68,11 @@ class RealizedObject:
         return self.amb_op.shape[0]
 
 
-def _summand_embedding(kind: str, m: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """(subspace parts, ambient parts, embedding block) for one summand.
+def _summand_embedding(
+    kind: str, m: int, r: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(subspace parts, ambient parts, (row, column) positions of the
+    embedding block's ones) for one summand.
 
     A picket of height l embeds as the unique invariant l-dimensional
     subspace of a single Jordan block (the generator maps to the
@@ -66,31 +81,19 @@ def _summand_embedding(kind: str, m: int, r: int) -> tuple[tuple[int, ...], tupl
     blocks, the generator landing on the pair of powers (m - 2, r - 1).
     """
     if kind == "P0":
-        emb = np.zeros((m, 0), dtype=np.int64)
-        return (), (m,), emb
+        return (), (m,), ()
     if kind in ("P1", "P2"):
         ell = 1 if kind == "P1" else 2
-        emb = np.zeros((m, ell), dtype=np.int64)
-        for j in range(ell):
-            emb[m - ell + j, j] = 1
-        return (ell,), (m,), emb
+        return (ell,), (m,), tuple((m - ell + j, j) for j in range(ell))
     # B2: basis of the subspace is (generator, its image); the generator
     # lands on the pair of powers (m - 2, r - 1) of the block generators,
     # its image on (m - 1, r) where the small-block component dies.
-    emb = np.zeros((m + r, 2), dtype=np.int64)
-    emb[m - 2, 0] = 1
-    emb[m + r - 1, 0] = 1
-    emb[m - 1, 1] = 1
-    return (2,), (m, r), emb
-
-
-# largest modulus whose entry products (p - 1)**2 still fit in int64
-_MAX_MODULUS = 3_037_000_499
+    return (2,), (m, r), ((m - 2, 0), (m + r - 1, 0), (m - 1, 1))
 
 
 def _require_prime(p: int) -> None:
-    if not 2 <= p <= _MAX_MODULUS or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise ValueError(f"the field size must be a prime between 2 and {_MAX_MODULUS}, got {p}")
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"the field size must be a prime, got {p}")
 
 
 def realize(obj: S2Object, p: int) -> RealizedObject:
@@ -98,41 +101,35 @@ def realize(obj: S2Object, p: int) -> RealizedObject:
     _require_prime(p)
     sub_parts: list[int] = []
     amb_parts: list[int] = []
-    blocks: list[np.ndarray] = []
+    ones: list[tuple[int, int]] = []
     for s in obj.summands:
-        sp, ap, emb = _summand_embedding(s.kind, s.m, s.r)
+        sp, ap, block = _summand_embedding(s.kind, s.m, s.r)
+        row, col = sum(amb_parts), sum(sub_parts)
+        ones.extend((row + i, col + j) for i, j in block)
         sub_parts.extend(sp)
         amb_parts.extend(ap)
-        blocks.append(emb)
-    sub_dim = sum(sub_parts)
-    amb_dim = sum(amb_parts)
-    embedding = np.zeros((amb_dim, sub_dim), dtype=np.int64)
-    row = col = 0
-    for emb in blocks:
-        h, w = emb.shape
-        embedding[row:row + h, col:col + w] = emb
-        row += h
-        col += w
+    embedding: list[dict[int, int]] = [{} for _ in range(sum(amb_parts))]
+    for i, j in ones:
+        embedding[i][j] = 1
     return RealizedObject(
-        sub_op=_jordan_nilpotent(tuple(sub_parts)) % p,
-        amb_op=_jordan_nilpotent(tuple(amb_parts)) % p,
-        embedding=embedding % p,
+        sub_op=_jordan_nilpotent(sub_parts),
+        amb_op=_jordan_nilpotent(amb_parts),
+        embedding=SparseMatrix(tuple(embedding), sum(sub_parts)),
         prime=p,
     )
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank over F_p by sparse row reduction: each row is a dict of its
-    nonzero entries (Python ints) and is reduced, left to right, against
-    the pivot rows found so far, one pivot per leading column."""
+def rank_mod_p(mat: SparseMatrix | Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of a sparse matrix or of a dense list of rows.
+
+    Each row becomes a dict of its nonzero entries mod p and is reduced,
+    left to right, against the pivot rows found so far, one pivot per
+    leading column."""
     _require_prime(p)
-    a = (mat % p).astype(np.int64)
-    rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
-    nz_rows, nz_cols = np.nonzero(a)
-    for r, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
-        rows[r][c] = v
+    given = mat.rows if isinstance(mat, SparseMatrix) else (dict(enumerate(r)) for r in mat)
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for entries in given:
+        row = {c: v % p for c, v in entries.items() if v % p}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -150,6 +147,28 @@ def rank_mod_p(mat: np.ndarray, p: int) -> int:
     return len(pivots)
 
 
+def _commuting_rows(a: SparseMatrix, b: SparseMatrix, u_offset: int, v_offset: int) -> list[dict[int, int]]:
+    """One row per entry (i, j) of ``a @ U - V @ b``, in row-major order,
+    over unknowns numbered row-major: U (``a.ncols`` by ``b.ncols``) from
+    ``u_offset`` and V (rows of ``a`` by rows of ``b``) from ``v_offset``.
+    A row with no entries stays.  The two terms never share an unknown:
+    either U and V are disjoint, or they coincide and ``a`` and ``b`` are
+    nilpotent Jordan matrices, whose diagonals are zero."""
+    u_width, v_width = b.ncols, len(b.rows)
+    b_cols: list[dict[int, int]] = [{} for _ in range(u_width)]
+    for k, b_row in enumerate(b.rows):
+        for j, v in b_row.items():
+            b_cols[j][k] = v
+    rows = []
+    for i, a_row in enumerate(a.rows):
+        v_row = v_offset + i * v_width
+        for j, b_col in enumerate(b_cols):
+            row = {u_offset + k * u_width + j: v for k, v in a_row.items()}
+            row.update((v_row + k, -v) for k, v in b_col.items())
+            rows.append(row)
+    return rows
+
+
 def oracle_hom_dim(x: S2Object, y: S2Object, p: int) -> int:
     """Dimension over F_p of the space of morphisms from x to y,
     computed from the realized matrices.
@@ -159,31 +178,19 @@ def oracle_hom_dim(x: S2Object, y: S2Object, p: int) -> int:
     with the two embeddings commuting.
     """
     rx, ry = realize(x, p), realize(y, p)
-    a_x, b_x = rx.sub_dim, rx.amb_dim
-    a_y, b_y = ry.sub_dim, ry.amb_dim
-    n1, n2 = a_y * a_x, b_y * b_x
-
-    def ident(k):
-        return np.eye(k, dtype=np.int64)
-
-    rows: list[np.ndarray] = []
-    # sub_op_y @ h1 - h1 @ sub_op_x = 0
-    if n1:
-        block = np.kron(ry.sub_op, ident(a_x)) - np.kron(ident(a_y), rx.sub_op.T)
-        rows.append(np.hstack([block, np.zeros((block.shape[0], n2), dtype=np.int64)]))
-    # amb_op_y @ h2 - h2 @ amb_op_x = 0
-    if n2:
-        block = np.kron(ry.amb_op, ident(b_x)) - np.kron(ident(b_y), rx.amb_op.T)
-        rows.append(np.hstack([np.zeros((block.shape[0], n1), dtype=np.int64), block]))
-    # embedding_y @ h1 - h2 @ embedding_x = 0
-    if b_y * a_x:
-        left = np.kron(ry.embedding, ident(a_x)) if n1 else np.zeros((b_y * a_x, 0), dtype=np.int64)
-        right = -np.kron(ident(b_y), rx.embedding.T) if n2 else np.zeros((b_y * a_x, 0), dtype=np.int64)
-        rows.append(np.hstack([left, right]))
-    unknowns = n1 + n2
+    n1 = ry.sub_dim * rx.sub_dim
+    unknowns = n1 + ry.amb_dim * rx.amb_dim
     if unknowns == 0:
         return 0
-    if not rows:
-        return unknowns
-    system = np.vstack(rows) % p
+    system = SparseMatrix(
+        tuple(
+            # sub_op_y @ h1 - h1 @ sub_op_x = 0
+            _commuting_rows(ry.sub_op, rx.sub_op, 0, 0)
+            # amb_op_y @ h2 - h2 @ amb_op_x = 0
+            + _commuting_rows(ry.amb_op, rx.amb_op, n1, n1)
+            # embedding_y @ h1 - h2 @ embedding_x = 0
+            + _commuting_rows(ry.embedding, rx.embedding, 0, n1)
+        ),
+        unknowns,
+    )
     return unknowns - rank_mod_p(system, p)

@@ -19,6 +19,7 @@ from arcdeg.objects import (
     object_type,
 )
 from arcdeg.partitions import Partition
+from arcdeg.verify import iter_types
 
 # the running classification example: every summand kind at once
 MIXED = S2Object.of(B2(5, 3), B2(4, 2), P2(5), P0(2), P2(3), P1(3), P0(1), P1(1))
@@ -192,6 +193,7 @@ def test_kept_object_type_matches_a_fresh_computation():
     sources = [S2Object.from_text(MIXED.to_text()), S2Object.from_text("")]
     sources += enumerate_objects(beta, gamma)
     sources += [object_of_diagram(diagram_of_object(o), beta, gamma) for o in enumerate_objects(beta, gamma)]
+    sources += [o for b, g in iter_types(6) for o in enumerate_objects(b, g)]
     assert len(sources) > 2
     for obj in sources:
         first = object_type(obj)

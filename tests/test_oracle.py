@@ -1,37 +1,43 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcdeg.homcalc import hom_obj
 from arcdeg.objects import B2, P0, P1, P2, S2Object, enumerate_objects
-from arcdeg.oracle import oracle_hom_dim, rank_mod_p, realize
+from arcdeg.oracle import SparseMatrix, oracle_hom_dim, rank_mod_p, realize
 from arcdeg.verify import iter_types
 
+from conftest import DESCENT_Y, DESCENT_Z, run_python
 
-def dense_rank_mod_p(mat: np.ndarray, p: int) -> int:
+
+def dense_rank_mod_p(mat: list[list[int]], p: int) -> int:
     """Slow reference: dense row reduction with first-nonzero pivoting."""
-    a = (mat % p).astype(np.int64)
-    rows, cols = a.shape
+    a = [[v % p for v in row] for row in mat]
+    rows, cols = len(a), len(a[0]) if a else 0
     rank = 0
     for col in range(cols):
         pivot = None
         for r in range(rank, rows):
-            if a[r, col] % p:
+            if a[r][col]:
                 pivot = r
                 break
         if pivot is None:
             continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = (a[rank] * inv) % p
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [v * inv % p for v in a[rank]]
         for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
+            if r != rank and a[r][col]:
+                factor = a[r][col]
+                a[r] = [(v - factor * w) % p for v, w in zip(a[r], a[rank])]
         rank += 1
         if rank == rows:
             break
     return rank
+
+
+def matmul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
 
 def test_realize_small_picket():
@@ -49,9 +55,10 @@ def test_realize_zero_subspace():
 
 def test_realize_bipicket_embedding():
     r = realize(S2Object.of(B2(3, 1)), 7)
+    columns = [list(col) for col in zip(*r.embedding.tolist())]
     # generator lands on (first block shifted once, second block generator)
-    assert r.embedding[:, 0].tolist() == [0, 1, 0, 1]
-    assert r.embedding[:, 1].tolist() == [0, 0, 1, 0]
+    assert columns[0] == [0, 1, 0, 1]
+    assert columns[1] == [0, 0, 1, 0]
 
 
 def test_realizations_intertwine_and_embed():
@@ -62,18 +69,19 @@ def test_realizations_intertwine_and_embed():
     ]:
         for p in (2, 101):
             r = realize(obj, p)
-            lhs = (r.amb_op @ r.embedding) % p
-            rhs = (r.embedding @ r.sub_op) % p
-            assert np.array_equal(lhs, rhs)
+            emb = r.embedding.tolist()
+            lhs = matmul_mod(r.amb_op.tolist(), emb, p)
+            rhs = matmul_mod(emb, r.sub_op.tolist(), p)
+            assert lhs == rhs
             assert rank_mod_p(r.embedding, p) == r.sub_dim
 
 
 def test_rank_mod_p_cases():
     # determinant -5: singular mod 5, invertible mod 3
-    assert rank_mod_p(np.array([[1, 2], [3, 1]]), 5) == 1
-    assert rank_mod_p(np.array([[1, 2], [3, 1]]), 3) == 2
-    assert rank_mod_p(np.zeros((3, 2), dtype=int), 7) == 0
-    assert rank_mod_p(np.eye(4, dtype=int), 2) == 4
+    assert rank_mod_p([[1, 2], [3, 1]], 5) == 1
+    assert rank_mod_p([[1, 2], [3, 1]], 3) == 2
+    assert rank_mod_p([[0, 0], [0, 0], [0, 0]], 7) == 0
+    assert rank_mod_p([[int(i == j) for j in range(4)] for i in range(4)], 2) == 4
 
 
 def test_oracle_pinned_values():
@@ -102,16 +110,39 @@ def test_oracle_on_decomposable_objects():
         assert oracle_hom_dim(y, x, p) == hom_obj(y, x)
 
 
+def test_oracle_system_keeps_one_row_per_condition_entry(monkeypatch):
+    """Three row blocks, zero rows included: the entries of the two
+    intertwining conditions and of the compatibility square."""
+    import arcdeg.oracle
+
+    shapes = []
+
+    def recording(mat, p):
+        shapes.append(mat.shape)
+        return rank_mod_p(mat, p)
+
+    monkeypatch.setattr(arcdeg.oracle, "rank_mod_p", recording)
+    pairs = [
+        (DESCENT_Y, DESCENT_Z),
+        (S2Object.of(P0(3)), S2Object.of(P1(2))),
+        (S2Object.of(B2(5, 2)), S2Object.of(P2(4))),
+    ]
+    for x, y in pairs:
+        rx, ry = realize(x, 2), realize(y, 2)
+        n1, n2 = ry.sub_dim * rx.sub_dim, ry.amb_dim * rx.amb_dim
+        oracle_hom_dim(x, y, 2)
+        assert shapes.pop() == (n1 + n2 + ry.amb_dim * rx.sub_dim, n1 + n2)
+
+
 def test_realize_rejects_bad_prime():
     x = S2Object.of(P1(1))
     for p in (1, 4, 91):
         with pytest.raises(ValueError):
             realize(x, p)
-    # (p - 1)**2 would overflow the int64 elimination
     with pytest.raises(ValueError):
-        oracle_hom_dim(x, x, 4_000_000_007)
-    with pytest.raises(ValueError):
-        rank_mod_p(np.eye(2, dtype=int), 4)
+        rank_mod_p([[1, 0], [0, 1]], 4)
+    # a prime past the int64 range of products: Python ints do not overflow
+    assert oracle_hom_dim(DESCENT_Y, DESCENT_Z, 4_000_000_007) == hom_obj(DESCENT_Y, DESCENT_Z) == 131
 
 
 def test_oracle_endomorphisms_match_table_up_to_weight_6():
@@ -119,6 +150,21 @@ def test_oracle_endomorphisms_match_table_up_to_weight_6():
     assert len(objects) == 234
     for obj in objects:
         assert oracle_hom_dim(obj, obj, 101) == hom_obj(obj, obj), obj.to_text()
+
+
+def test_library_runs_without_numpy():
+    script = (
+        "import sys\n"
+        "import arcdeg\n"
+        "from arcdeg.verify import equivalence_sweep\n"
+        "x, y = arcdeg.S2Object.from_text('B(5,2)'), arcdeg.S2Object.from_text('B(4,2)')\n"
+        "assert arcdeg.oracle_hom_dim(x, y, 101) == 9\n"
+        "assert equivalence_sweep(4).ok\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @st.composite
@@ -129,23 +175,24 @@ def matrices(draw):
     rows = draw(st.integers(min_value=0, max_value=9))
     cols = draw(st.integers(min_value=0, max_value=9))
     entries = st.integers(min_value=-20_000, max_value=20_000)
-    mat = np.array(
-        [[draw(entries) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
-    ).reshape(rows, cols)
+    mat = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
     for r in draw(st.lists(st.integers(0, 8), max_size=3)):
         if r < rows:
-            mat[r] = 0
+            mat[r] = [0] * cols
     for c in draw(st.lists(st.integers(0, 8), max_size=3)):
         if c < cols:
-            mat[:, c] = 0
+            for row in mat:
+                row[c] = 0
     if rows >= 3 and draw(st.booleans()):
         a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-        mat[rows - 1] = a * mat[0] + b * mat[1]
-    return mat
+        mat[rows - 1] = [a * u + b * v for u, v in zip(mat[0], mat[1])]
+    return cols, mat
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.sampled_from((2, 3, 101, 10007)))
-def test_sparse_rank_matches_dense_reference(mat, p):
-    assert rank_mod_p(mat, p) == dense_rank_mod_p(mat, p)
-
+def test_sparse_rank_matches_dense_reference(shaped, p):
+    cols, mat = shaped
+    sparse = SparseMatrix(tuple({c: v for c, v in enumerate(row) if v} for row in mat), cols)
+    assert sparse.tolist() == mat
+    assert rank_mod_p(mat, p) == rank_mod_p(sparse, p) == dense_rank_mod_p(mat, p)
