@@ -14,24 +14,27 @@ Each move carries a short exact sequence witness whose middle term is
 the smaller side's replaced summands and whose end terms are the larger
 side's, and a region of test objects on which the hom delta of a pair
 differing by the move alone equals 1.  The reflexive-transitive closure
-of the moves is the arc order.  A point query (``arc_leq``) searches,
-with an explicit stack, the down-closure of the integer (arcs, poles)
-tuples of one diagram, cached per queried diagram; loops, which no move
-touches, are compared apart.  For a whole type, the objects get
-integer ids and the moves are applied to integer arc and pole tuples;
-the closure is one bitset per object (``_reach_ids``), built in
-ascending (poles, crossings) order, which is topological since every
-move lowers that pair.  From it come Hasse diagrams (single moves need
-not be covers, so the transitive reduction is taken), poset extrema,
-and the arc order on every pair that the verification sweep reads.
+of the moves is the arc order.  Moves act on the integer (arcs, poles)
+tuples of a diagram and never touch its loops.  A point query
+(``arc_leq``) searches the down-closure of one diagram with an explicit
+stack.  A whole type has one record (``TypeGraph``), built once from its
+objects: per object id, the diagram tuples, crossings, pole count,
+successor ids, move count and the moves that leave the type.  Its
+closure is one bitset per object (``_reach_ids``), built in ascending
+(poles, crossings) order, which is topological since every move lowers
+that pair.  From the record come Hasse diagrams (single moves need not
+be covers, so the transitive reduction is taken), poset extrema, stratum
+dimensions and everything the verification sweep reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple
 
+from . import geometry
 from .errors import MoveNotApplicable
 from .objects import (
     B2,
@@ -39,6 +42,7 @@ from .objects import (
     ArcDiagram,
     Indecomposable,
     S2Object,
+    alpha_of,
     arc_summands,
     crossings,
     diagram_of_object,
@@ -58,7 +62,23 @@ _MOVE_PIECES = {
     "D": (((0, 2),), (1,), ((1, 2),), (0,)),
     "E": ((), (0, 1), ((0, 1),), ()),
 }
-_KINDS = tuple(MOVE_ARITY)
+
+
+def _getters(pieces):
+    # an arc getter reads (m, r) from a move's points, a pole getter m
+    return tuple(itemgetter(*p) if isinstance(p, tuple) else itemgetter(p) for p in pieces)
+
+
+# per kind, each side it changes: (0 for arcs or 1 for poles, getters of
+# the pieces removed, getters of the pieces added)
+_MOVE_EDITS = {
+    kind: tuple(
+        (side, _getters(pieces[side]), _getters(pieces[side + 2]))
+        for side in (0, 1)
+        if pieces[side] or pieces[side + 2]
+    )
+    for kind, pieces in _MOVE_PIECES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -98,10 +118,6 @@ class Move:
     def __str__(self) -> str:
         return self.to_text()
 
-    @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (_KINDS.index(self.kind), self.points)
-
 
 def _move_candidates(arcs, poles):
     """(kind, points) of every down-move on a diagram with these arcs
@@ -124,38 +140,47 @@ def _move_candidates(arcs, poles):
             yield "E", (m, r)
 
 
-def _replace_pieces(kind: str, pts: tuple[int, ...], arcs, poles):
-    """The (arcs, poles) lists after a move of this kind on these points
-    replaces its pieces; raises ValueError when a removed piece is
-    missing (with multiplicity)."""
-    arcs_out, poles_out, arcs_in, poles_in = _MOVE_PIECES[kind]
-    arcs = list(arcs)
-    poles = list(poles)
-    for i, j in arcs_out:
-        arcs.remove((pts[i], pts[j]))
-    for i in poles_out:
-        poles.remove(pts[i])
-    arcs += [(pts[i], pts[j]) for i, j in arcs_in]
-    poles += [pts[i] for i in poles_in]
-    return arcs, poles
+def _apply_moves(moves, arcs, poles):
+    """(kind, points, (arcs, poles)) for each (kind, points) in ``moves``
+    applied to these arcs and poles (descending tuples), the results as
+    descending tuples; raises ValueError when a removed piece is missing
+    (with multiplicity)."""
+    for kind, pts in moves:
+        target = [arcs, poles]
+        for side, out, into in _MOVE_EDITS[kind]:
+            edited = list(target[side])
+            for piece in out:
+                edited.remove(piece(pts))
+            for piece in into:
+                edited.append(piece(pts))
+            edited.sort(reverse=True)
+            target[side] = tuple(edited)
+        yield kind, pts, tuple(target)
+
+
+def _move_targets(arcs, poles):
+    """Every down-move on these arcs and poles with its result, as from
+    ``_apply_moves``; different moves may give one result."""
+    return _apply_moves(_move_candidates(arcs, poles), arcs, poles)
 
 
 def apply_down(diagram: ArcDiagram, move: Move) -> ArcDiagram:
     """Apply a down-move; raises :class:`MoveNotApplicable` when the
     required arcs or poles are missing (with multiplicity)."""
     try:
-        arcs, poles = _replace_pieces(move.kind, move.points, diagram.arcs, diagram.poles)
+        _, _, (arcs, poles) = next(_apply_moves([(move.kind, move.points)], diagram.arcs, diagram.poles))
     except ValueError:
         raise MoveNotApplicable(f"{move} does not apply to {diagram}") from None
-    return ArcDiagram.of(arcs, poles, diagram.loops)
+    return ArcDiagram(arcs, poles, diagram.loops)
 
 
 def down_moves(diagram: ArcDiagram) -> list[tuple[Move, ArcDiagram]]:
     """All distinct applicable down-moves with their results, ordered by
     kind A < B < C < D < E and then lexicographically on the points."""
-    moves = [Move(kind, pts) for kind, pts in _move_candidates(diagram.arcs, diagram.poles)]
-    moves.sort(key=lambda mv: mv.sort_key)
-    return [(mv, apply_down(diagram, mv)) for mv in moves]
+    return [
+        (Move(kind, pts), ArcDiagram(arcs, poles, diagram.loops))
+        for kind, pts, (arcs, poles) in sorted(_move_targets(diagram.arcs, diagram.poles))
+    ]
 
 
 def ses_witness(move: Move) -> tuple[S2Object, S2Object, S2Object]:
@@ -224,24 +249,16 @@ def region(move: Move) -> Callable[[Indecomposable], bool]:
     return pred
 
 
-def _move_targets(arcs, poles):
-    """The (arcs, poles) of every single down-move result, each sorted
-    descending, as integer tuples; repeats are possible."""
-    for kind, pts in _move_candidates(arcs, poles):
-        arcs_to, poles_to = _replace_pieces(kind, pts, arcs, poles)
-        yield tuple(sorted(arcs_to, reverse=True)), tuple(sorted(poles_to, reverse=True))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _down_closure(arcs, poles) -> frozenset:
     """Every (arcs, poles) reachable from these by down-moves, the start
-    included: one entry per queried start, found by an explicit-stack
-    search (moves leave loops alone)."""
+    included: one entry per recently queried start, found by an
+    explicit-stack search (moves leave loops alone)."""
     start = (arcs, poles)
     reach = {start}
     stack = [start]
     while stack:
-        for nxt in _move_targets(*stack.pop()):
+        for _, _, nxt in _move_targets(*stack.pop()):
             if nxt not in reach:
                 reach.add(nxt)
                 stack.append(nxt)
@@ -256,49 +273,67 @@ def arc_leq(y: S2Object, z: S2Object) -> bool:
     return dy.loops == dz.loops and (dy.arcs, dy.poles) in _down_closure(dz.arcs, dz.poles)
 
 
+class TypeGraph(NamedTuple):
+    """The record of one type: its objects and one column entry per
+    object id, its position in ``nodes``."""
+
+    nodes: tuple[S2Object, ...]
+    diagrams: tuple[tuple[tuple, tuple, tuple], ...]  # (arcs, poles, loops)
+    crossings: tuple[int, ...]
+    poles: tuple[int, ...]
+    succ: tuple[tuple[int, ...], ...]  # sorted distinct ids of move results
+    moves: tuple[int, ...]  # down-moves, including those that leave the type
+    # (kind, points) of the moves, in down_moves order, whose result is
+    # not in nodes; all empty when nodes are a whole type
+    leaving: tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]
+
+
+def _type_table(nodes) -> TypeGraph:
+    """The record of a type from its objects in canonical order: the one
+    place that derives their diagrams, crossings and moves."""
+    diagrams = [diagram_of_object(o) for o in nodes]
+    keys = tuple((d.arcs, d.poles, d.loops) for d in diagrams)
+    ids = {key: i for i, key in enumerate(keys)}
+    succ, counts, leaving = [], [], []
+    for arcs, poles, loops in keys:
+        moves = [(kind, pts, ids.get((*target, loops))) for kind, pts, target in _move_targets(arcs, poles)]
+        succ.append(tuple(sorted({j for _, _, j in moves if j is not None})))
+        counts.append(len(moves))
+        leaving.append(tuple(sorted((kind, pts) for kind, pts, j in moves if j is None)))
+    xs, poles = tuple(map(crossings, diagrams)), tuple(len(d.poles) for d in diagrams)
+    return TypeGraph(tuple(nodes), keys, xs, poles, tuple(succ), tuple(counts), tuple(leaving))
+
+
 @lru_cache(maxsize=16)
-def _type_graph(beta: Partition, gamma: Partition):
-    """Objects of a type in canonical order, plus for each object the
-    sorted ids (positions in that order) of its single-move successors.
+def _type_graph(beta: Partition, gamma: Partition) -> TypeGraph:
+    """The record of a type, from its enumerated objects.
 
     Each caller reads a type right after building it, so a few recent
     types are kept."""
-    nodes = tuple(enumerate_objects(beta, gamma))
-    diagrams = [diagram_of_object(o) for o in nodes]
-    ids = {(d.arcs, d.poles, d.loops): i for i, d in enumerate(diagrams)}
-    succ = []
-    for d in diagrams:
-        targets = set()
-        for arcs, poles in _move_targets(d.arcs, d.poles):
-            j = ids.get((arcs, poles, d.loops))
-            # a move that leaves the type is the sweep's move-type failure
-            if j is not None:
-                targets.add(j)
-        succ.append(tuple(sorted(targets)))
-    return nodes, tuple(succ)
+    return _type_table(enumerate_objects(beta, gamma))
 
 
-def _reach_ids(succ, diagrams: list[ArcDiagram]) -> list[int]:
+def _reach_ids(graph: TypeGraph) -> list[int]:
     """The reflexive-transitive closure of a type graph, as one bitset
     per node: bit j of ``reach[i]`` is set iff node j lies below node i
     in the arc order."""
     # every move lowers (poles, crossings), so successors come first
-    order = sorted(range(len(succ)), key=lambda i: (len(diagrams[i].poles), crossings(diagrams[i])))
-    reach = [0] * len(succ)
-    for i in order:
+    rank = list(zip(graph.poles, graph.crossings))
+    reach = [0] * len(rank)
+    for i in sorted(range(len(rank)), key=rank.__getitem__):
         bits = 1 << i
-        for j in succ[i]:
+        for j in graph.succ[i]:
             bits |= reach[j]
         reach[i] = bits
     return reach
 
 
-def _cover_ids(succ, diagrams: list[ArcDiagram]) -> list[tuple[int, int]]:
+def _cover_ids(graph: TypeGraph) -> list[tuple[int, int]]:
     """Cover edges (i, j) of a type graph, in (i, j) order: its
     transitive reduction, from one bitset closure per node."""
-    reach = _reach_ids(succ, diagrams)
+    reach = _reach_ids(graph)
     edges = []
-    for i, targets in enumerate(succ):
+    for i, targets in enumerate(graph.succ):
         # the targets some other successor reaches are not covers
         below = 0
         for k in targets:
@@ -307,45 +342,57 @@ def _cover_ids(succ, diagrams: list[ArcDiagram]) -> list[tuple[int, int]]:
     return edges
 
 
+def _extrema_ids(graph: TypeGraph) -> tuple[list[int], list[int]]:
+    """(maximal, minimal) ids of a type graph: nodes with no up-move,
+    respectively no down-move, inside the type."""
+    has_incoming = {j for targets in graph.succ for j in targets}
+    maximal = [i for i in range(len(graph.succ)) if i not in has_incoming]
+    minimal = [i for i, targets in enumerate(graph.succ) if not targets]
+    return maximal, minimal
+
+
 def hasse(beta: Partition, gamma: Partition) -> list[tuple[S2Object, S2Object]]:
     """Cover edges of the arc order on all objects of the type, directed
     from the greater object to the smaller, in canonical order."""
-    nodes, succ = _type_graph(beta, gamma)
-    diagrams = [diagram_of_object(o) for o in nodes]
-    return [(nodes[i], nodes[j]) for i, j in _cover_ids(succ, diagrams)]
+    graph = _type_graph(beta, gamma)
+    return [(graph.nodes[i], graph.nodes[j]) for i, j in _cover_ids(graph)]
 
 
 def extrema(beta: Partition, gamma: Partition) -> tuple[list[S2Object], list[S2Object]]:
     """(maximal, minimal) elements of the arc order on the type: objects
     with no up-move, respectively no down-move."""
-    nodes, succ = _type_graph(beta, gamma)
-    has_incoming = {j for targets in succ for j in targets}
-    maximal = [o for i, o in enumerate(nodes) if i not in has_incoming]
-    minimal = [o for o, targets in zip(nodes, succ) if not targets]
-    return maximal, minimal
+    graph = _type_graph(beta, gamma)
+    maximal, minimal = _extrema_ids(graph)
+    return [graph.nodes[i] for i in maximal], [graph.nodes[i] for i in minimal]
+
+
+def _node_dims(graph: TypeGraph, beta: Partition, gamma: Partition) -> list[tuple[Partition, int]]:
+    """Per node, its subspace type alpha and its stratum dimension."""
+    # alpha has a 2 per arc or loop and a 1 per pole, so it and the
+    # crossing-free part of the dimension are shared by each such class;
+    # the formula is read from its module, so a patched one reaches here
+    by_class: dict[tuple[int, int], tuple[Partition, int]] = {}
+    out = []
+    for o, (arcs, poles, loops), x in zip(graph.nodes, graph.diagrams, graph.crossings):
+        key = (len(arcs) + len(loops), len(poles))
+        if key not in by_class:
+            alpha = alpha_of(o)
+            by_class[key] = (alpha, geometry._stratum_dim_less_crossings(alpha, beta, gamma))
+        alpha, uncrossed_dim = by_class[key]
+        out.append((alpha, uncrossed_dim - x))
+    return out
 
 
 def hasse_dot(beta: Partition, gamma: Partition) -> str:
     """DOT source for the Hasse diagram; one node per diagram labeled
     with its text form, subspace type, crossings and stratum dimension."""
-    from .geometry import _stratum_dim_less_crossings
-    from .objects import alpha_of
-
-    nodes, succ = _type_graph(beta, gamma)
-    diagrams = [diagram_of_object(o) for o in nodes]
-    # alpha has a 2 per arc or loop and a 1 per pole, so it and the
-    # crossing-free part of the dimension are shared by each such class
-    by_alpha: dict[tuple[int, int], tuple[str, int]] = {}
+    graph = _type_graph(beta, gamma)
     lines = ["digraph hasse {", "  rankdir=TB;", "  node [shape=box];"]
-    for i, (o, d) in enumerate(zip(nodes, diagrams)):
-        key = (len(d.arcs) + len(d.loops), len(d.poles))
-        if key not in by_alpha:
-            alpha = alpha_of(o)
-            by_alpha[key] = (alpha.to_text() or "()", _stratum_dim_less_crossings(alpha, beta, gamma))
-        alpha_text, uncrossed_dim = by_alpha[key]
-        x = crossings(d)
-        lines.append(f'  n{i} [label="{d.to_text()}\\nalpha={alpha_text} x={x} dim={uncrossed_dim - x}"];')
-    lines += [f"  n{i} -> n{j};" for i, j in _cover_ids(succ, diagrams)]
+    dims = _node_dims(graph, beta, gamma)
+    for i, (key, x, (alpha, dim)) in enumerate(zip(graph.diagrams, graph.crossings, dims)):
+        label = f"{ArcDiagram(*key).to_text()}\\nalpha={alpha.to_text() or '()'} x={x} dim={dim}"
+        lines.append(f'  n{i} [label="{label}"];')
+    lines += [f"  n{i} -> n{j};" for i, j in _cover_ids(graph)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,7 +1,8 @@
 """Invariant subspaces of nilpotent operators with subspace exponent at
 most two: the classification of indecomposables, objects as multisets of
 summands, the object/arc-diagram bijection, crossing counts, and the
-enumeration of all objects of a fixed ambient/quotient type.
+enumeration of all objects of a fixed ambient/quotient type or of a
+whole ambient type.
 
 Every indecomposable is one of four kinds:
 
@@ -21,7 +22,9 @@ are invisible.
 An object's (ambient, quotient) type is derived once, by the first
 ``object_type`` call, and kept on the object in a field that takes no
 part in equality, hashing, ``repr`` or the text form;
-``enumerate_objects`` fills that field with the type it was given.
+``enumerate_objects`` fills that field with the type it was given or,
+when enumerating a whole ambient type, with the quotient type it
+derives.
 """
 
 from __future__ import annotations
@@ -397,21 +400,31 @@ def _roles(m: int, rest: tuple[int, ...]):
     yield (3, 0), P0(m)
 
 
-def enumerate_objects(beta: Partition, gamma: Partition) -> list[S2Object]:
+def enumerate_objects(beta: Partition, gamma: Partition | None = None) -> list[S2Object]:
     """All objects of type (beta, gamma), without duplicates, in canonical
-    order.  The list is empty exactly when the type is unrealizable."""
+    order; the list is empty exactly when the type is unrealizable.
+    Without gamma, every object of ambient type beta once, in canonical
+    order, its quotient type derived once all its summands are chosen."""
     results: list[S2Object] = []
+    quotients: dict[tuple[int, ...], Partition] = {}
     # depth-first over the ambient parts, largest first; an explicit stack
     # because a type may have more parts than the interpreter's recursion limit
-    stack = [(beta.parts, gamma.parts, (), None)]
+    stack = [(beta.parts, () if gamma is None else gamma.parts, (), None)]
     while stack:
         beta_rem, gamma_rem, acc, prev = stack.pop()
         if not beta_rem:
-            if not gamma_rem:
-                obj = S2Object(acc)
-                # the type is known here, so object_type need not derive it
-                object.__setattr__(obj, "_type", (beta, gamma))
-                results.append(obj)
+            quotient = gamma
+            if gamma is None:
+                parts = tuple(sorted((p for s in acc for p in s.quotient_parts()), reverse=True))
+                if parts not in quotients:
+                    quotients[parts] = Partition(parts)
+                quotient = quotients[parts]
+            elif gamma_rem:
+                continue
+            obj = S2Object(acc)
+            # the type is known here, so object_type need not derive it
+            object.__setattr__(obj, "_type", (beta, quotient))
+            results.append(obj)
             continue
         if gamma_rem and gamma_rem[0] > beta_rem[0]:
             continue
@@ -419,7 +432,7 @@ def enumerate_objects(beta: Partition, gamma: Partition) -> list[S2Object]:
         for token, summand in _roles(m, rest):
             if prev is not None and prev[0] == m and token < prev[1]:
                 continue
-            new_gamma = _remove_values(gamma_rem, summand.quotient_parts())
+            new_gamma = gamma_rem if gamma is None else _remove_values(gamma_rem, summand.quotient_parts())
             if new_gamma is None:
                 continue
             # the bipicket's partner part r is in rest, by the choice of r

@@ -1,8 +1,8 @@
 """Whole-library property sweep over every type up to a weight bound.
 
-For each ambient type beta up to the bound and each quotient type gamma
-contained in it, the sweep takes the objects of the type from its
-cached type graph and checks, exhaustively:
+Each ambient type beta up to the bound is enumerated once and its
+objects are grouped by quotient type gamma.  Each realizable type gets
+one record (``moves.TypeGraph``) and is checked exhaustively:
 
 * diagram round trip: the object of the diagram of an object is the
   object itself;
@@ -11,7 +11,8 @@ cached type graph and checks, exhaustively:
   and with a cutoff three columns wider;
 * vanishing of the hom delta on every P0 and P2, checked per object:
   the hom space from each such picket has one dimension over the type;
-* strict growth of the stratum dimension along every single down-move;
+* every single down-move stays in the type and strictly raises the
+  stratum dimension;
 * the orbit-stabilizer identity: the orbit dimension of the embedding
   (from crossing numbers) equals the automorphism degrees of subspace
   and ambient space minus the dimension of the object's endomorphism
@@ -20,15 +21,13 @@ cached type graph and checks, exhaustively:
   of the minimal-element count with the Littlewood-Richardson
   prediction whenever the skew type is a column strip.
 
-Both orders are read from whole-type tables rather than decided one
-pair at a time: the hom order from one hom matrix per test set (objects
-by test objects, ``homcalc._hom_rows``), where y <= z iff row y is
-entrywise at most row z, and the arc order from the bitset closure of
-the type graph (``moves._reach_ids``), where y <= z iff bit y is set in
-the closure of z.  The picket check reads one more matrix over the P0
-and P2 probes.  The point queries ``hom_leq`` and ``arc_leq`` decide
-the same orders pair by pair and are the tests' reference for both
-tables.
+The moves, dimensions and extrema are read from the record.  Both orders
+come from whole-type tables: the hom order from one hom matrix per test
+set (``homcalc._hom_rows``), where y <= z iff row y is entrywise at most
+row z, and the arc order from the bitset closure of the record
+(``moves._reach_ids``), where y <= z iff bit y is set in the closure of
+z.  The point queries ``hom_leq`` and ``arc_leq`` decide the same orders
+pair by pair and are the tests' reference for both tables.
 """
 
 from __future__ import annotations
@@ -37,18 +36,28 @@ import random
 from dataclasses import dataclass, field
 from operator import le
 
-from .geometry import aut_degree, stratum_dim, subspace_orbit_dim
+from .geometry import aut_degree, subspace_orbit_dim
 from .homcalc import _hom_rows, delta_profile, hom_obj, mesh_defect_report, test_set
 from .lr import minimal_count_prediction
-from .moves import MOVE_ARITY, Move, _reach_ids, _type_graph, down_moves, extrema, region, unit_pair
+from .moves import (
+    MOVE_ARITY,
+    Move,
+    TypeGraph,
+    _extrema_ids,
+    _move_targets,
+    _node_dims,
+    _reach_ids,
+    _type_table,
+    region,
+    unit_pair,
+)
 from .objects import (
     B2,
     P0,
     P2,
+    ArcDiagram,
     Indecomposable,
     S2Object,
-    alpha_of,
-    diagram_of_object,
     enumerate_objects,
     object_of_diagram,
     object_type,
@@ -129,67 +138,75 @@ class SweepReport:
 def equivalence_sweep(max_weight: int) -> SweepReport:
     """Run the exhaustive per-type checks up to the weight bound."""
     report = SweepReport(max_weight=max_weight)
-    for beta, gamma in iter_types(max_weight):
-        report.types_seen += 1
-        objects, succ = _type_graph(beta, gamma)
-        if not objects:
-            continue
-        report.types_realizable += 1
-        report.objects_total += len(objects)
-        diagrams = [diagram_of_object(o) for o in objects]
-        probes = [P0(m) for m in range(1, beta.max_part + 2)]
-        probes += [P2(m) for m in range(2, beta.max_part + 2)]
-        picket_rows = _hom_rows(probes, objects)
-        first = objects[0]
-        for obj, diagram, homs in zip(objects, diagrams, picket_rows):
-            if object_of_diagram(diagram, beta, gamma) != obj:
-                report.fail("roundtrip", obj.to_text())
-            for probe, value, expected in zip(probes, homs, picket_rows[0]):
-                if value != expected:
-                    report.fail("picket-delta-zero", f"{probe.to_text()} on {first.to_text()} vs {obj.to_text()}")
-            # orbit-stabilizer: the stabilizer of the embedding is Aut(obj),
-            # an open subset of End(obj)
-            auts = aut_degree(alpha_of(obj)) + aut_degree(beta)
-            if subspace_orbit_dim(obj) != auts - hom_obj(obj, obj):
-                report.fail("dimension-identity", obj.to_text())
-        by_diagram = dict(zip(diagrams, objects))
-        for obj, diagram in zip(objects, diagrams):
-            for move, nxt in down_moves(diagram):
-                report.move_edges += 1
-                target = by_diagram.get(nxt)
-                if target is None:
-                    report.fail("move-type", f"{move} leaves the type from {obj.to_text()}")
-                    continue
-                if stratum_dim(target) < stratum_dim(obj) + 1:
-                    report.fail(
-                        "dimension-monotonicity",
-                        f"{move} from {obj.to_text()} ({stratum_dim(obj)} -> {stratum_dim(target)})",
-                    )
-        # y <= z in the hom order iff row y <= row z entrywise, and in the
-        # arc order iff bit y is set in the closure of z
-        rows = _hom_rows(test_set(beta), objects)
-        wide_rows = _hom_rows(test_set(beta, beta.max_part + 4), objects)
-        reach = _reach_ids(succ, diagrams)
-        for i, y in enumerate(objects):
-            for j, z in enumerate(objects):
-                report.pairs_checked += 1
-                hom = all(map(le, rows[i], rows[j]))
-                if bool(reach[j] >> i & 1) != hom:
-                    report.fail("order-equivalence", f"{y.to_text()} vs {z.to_text()}")
-                if all(map(le, wide_rows[i], wide_rows[j])) != hom:
-                    report.fail("test-set-bound", f"{y.to_text()} vs {z.to_text()}")
-        maximal, minimal = extrema(beta, gamma)
-        if len(maximal) != 1:
-            report.fail("unique-maximal", f"type ({beta.to_text()};{gamma.to_text()})")
-        elif diagram_of_object(maximal[0]).arcs:
-            report.fail("maximal-has-arc", f"type ({beta.to_text()};{gamma.to_text()})")
-        predicted = minimal_count_prediction(beta, gamma)
-        if predicted is not None and predicted != len(minimal):
-            report.fail(
-                "minimal-count",
-                f"type ({beta.to_text()};{gamma.to_text()}): predicted {predicted}, found {len(minimal)}",
-            )
+    for beta in all_partitions(max_weight)[1:]:  # all but the empty one
+        # one enumeration per beta; each gamma keeps the canonical order
+        by_gamma: dict[Partition, list[S2Object]] = {}
+        for obj in enumerate_objects(beta):
+            by_gamma.setdefault(object_type(obj)[1], []).append(obj)
+        for gamma in subpartitions(beta):
+            report.types_seen += 1
+            if gamma in by_gamma:
+                _check_type(report, beta, gamma, _type_table(by_gamma[gamma]))
     return report
+
+
+def _check_type(report: SweepReport, beta: Partition, gamma: Partition, graph: TypeGraph):
+    """Every per-type check on the record of one realizable type."""
+    objects = graph.nodes
+    report.types_realizable += 1
+    report.objects_total += len(objects)
+    report.move_edges += sum(graph.moves)
+    dims = _node_dims(graph, beta, gamma)
+    probes = [P0(m) for m in range(1, beta.max_part + 2)]
+    probes += [P2(m) for m in range(2, beta.max_part + 2)]
+    picket_rows = _hom_rows(probes, objects)
+    first = objects[0]
+    for i, (obj, key, homs, (alpha, dim)) in enumerate(zip(objects, graph.diagrams, picket_rows, dims)):
+        if object_of_diagram(ArcDiagram(*key), beta, gamma) != obj:
+            report.fail("roundtrip", obj.to_text())
+        for probe, value, expected in zip(probes, homs, picket_rows[0]):
+            if value != expected:
+                report.fail("picket-delta-zero", f"{probe.to_text()} on {first.to_text()} vs {obj.to_text()}")
+        # orbit-stabilizer: the stabilizer of the embedding is Aut(obj),
+        # an open subset of End(obj); the orbit side derives its own
+        # crossings, apart from the record
+        auts = aut_degree(alpha) + aut_degree(beta)
+        if subspace_orbit_dim(obj) != auts - hom_obj(obj, obj):
+            report.fail("dimension-identity", obj.to_text())
+        for kind, pts in graph.leaving[i]:
+            report.fail("move-type", f"{Move(kind, pts)} leaves the type from {obj.to_text()}")
+        if any(dims[j][1] <= dim for j in graph.succ[i]):
+            # name each move to a failing result, in down_moves order
+            ids = dict(zip(graph.diagrams, range(len(objects))))
+            for kind, pts, (arcs, poles) in sorted(_move_targets(*key[:2])):
+                j = ids.get((arcs, poles, key[2]))
+                if j is not None and dims[j][1] <= dim:
+                    message = f"{Move(kind, pts)} from {obj.to_text()} ({dim} -> {dims[j][1]})"
+                    report.fail("dimension-monotonicity", message)
+    # y <= z in the hom order iff row y <= row z entrywise, and in the
+    # arc order iff bit y is set in the closure of z
+    rows = _hom_rows(test_set(beta), objects)
+    wide_rows = _hom_rows(test_set(beta, beta.max_part + 4), objects)
+    reach = _reach_ids(graph)
+    for i, y in enumerate(objects):
+        for j, z in enumerate(objects):
+            report.pairs_checked += 1
+            hom = all(map(le, rows[i], rows[j]))
+            if bool(reach[j] >> i & 1) != hom:
+                report.fail("order-equivalence", f"{y.to_text()} vs {z.to_text()}")
+            if all(map(le, wide_rows[i], wide_rows[j])) != hom:
+                report.fail("test-set-bound", f"{y.to_text()} vs {z.to_text()}")
+    maximal, minimal = _extrema_ids(graph)
+    if len(maximal) != 1:
+        report.fail("unique-maximal", f"type ({beta.to_text()};{gamma.to_text()})")
+    elif graph.diagrams[maximal[0]][0]:
+        report.fail("maximal-has-arc", f"type ({beta.to_text()};{gamma.to_text()})")
+    predicted = minimal_count_prediction(beta, gamma)
+    if predicted is not None and predicted != len(minimal):
+        report.fail(
+            "minimal-count",
+            f"type ({beta.to_text()};{gamma.to_text()}): predicted {predicted}, found {len(minimal)}",
+        )
 
 
 def random_same_type_pairs(count: int, max_weight: int, seed: int):

@@ -9,6 +9,7 @@ from arcdeg.moves import (
     _down_closure,
     _reach_ids,
     _type_graph,
+    _type_table,
     apply_down,
     arc_leq,
     down_moves,
@@ -210,8 +211,9 @@ def test_arc_leq_examples():
 
 
 def _arc_leq_matches_reach_ids(beta, gamma):
-    nodes, succ = _type_graph(beta, gamma)
-    reach = _reach_ids(succ, [diagram_of_object(o) for o in nodes])
+    graph = _type_graph(beta, gamma)
+    nodes = graph.nodes
+    reach = _reach_ids(graph)
     for i, y in enumerate(nodes):
         for j, z in enumerate(nodes):
             assert arc_leq(y, z) == bool(reach[j] >> i & 1), (y.to_text(), z.to_text())
@@ -325,7 +327,8 @@ def _reference_hasse(beta, gamma):
 
 def test_type_graph_matches_down_moves_up_to_weight_8():
     for beta, gamma in iter_types(8):
-        nodes, succ = _type_graph(beta, gamma)
+        graph = _type_graph(beta, gamma)
+        nodes, succ = graph.nodes, graph.succ
         ids = {diagram_of_object(o): i for i, o in enumerate(nodes)}
         assert list(nodes) == sorted(nodes, key=lambda o: o.sort_key)
         for i, o in enumerate(nodes):
@@ -337,6 +340,38 @@ def test_type_graph_matches_down_moves_up_to_weight_8():
             for j in succ[i]:
                 dj = diagram_of_object(nodes[j])
                 assert (len(dj.poles), crossings(dj)) < rank
+
+
+def test_type_graph_columns_match_point_functions_up_to_weight_8():
+    for beta, gamma in iter_types(8):
+        graph = _type_graph(beta, gamma)
+        assert list(graph.nodes) == enumerate_objects(beta, gamma)
+        columns = (graph.diagrams, graph.crossings, graph.poles, graph.succ, graph.moves)
+        assert {len(column) for column in columns} <= {len(graph.nodes)}
+        for o, key, x, poles, count in zip(graph.nodes, graph.diagrams, graph.crossings, graph.poles, graph.moves):
+            d = diagram_of_object(o)
+            assert key == (d.arcs, d.poles, d.loops)
+            assert x == crossings(d)
+            assert poles == len(d.poles)
+            assert count == len(down_moves(d))
+        # an enumerated type is closed under the moves
+        assert graph.leaving == ((),) * len(graph.nodes)
+
+
+def test_type_table_records_the_moves_that_leave_its_objects():
+    # a record of part of a type lists, per node and in down_moves order,
+    # exactly the moves to the objects left out: here every other object,
+    # then each object alone, so that all its moves leave
+    for beta, gamma in iter_types(7):
+        nodes = enumerate_objects(beta, gamma)
+        for kept in [nodes[::2]] + [[o] for o in nodes]:
+            graph = _type_table(kept)
+            kept_diagrams = {diagram_of_object(o) for o in kept}
+            moves = [down_moves(diagram_of_object(o)) for o in kept]
+            assert graph.leaving == tuple(
+                tuple((mv.kind, mv.points) for mv, nxt in found if nxt not in kept_diagrams) for found in moves
+            )
+            assert graph.moves == tuple(map(len, moves))
 
 
 def test_hasse_matches_reference_up_to_weight_8():

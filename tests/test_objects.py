@@ -19,7 +19,7 @@ from arcdeg.objects import (
     object_type,
 )
 from arcdeg.partitions import Partition
-from arcdeg.verify import iter_types
+from arcdeg.verify import all_partitions, iter_types, subpartitions
 
 # the running classification example: every summand kind at once
 MIXED = S2Object.of(B2(5, 3), B2(4, 2), P2(5), P0(2), P2(3), P1(3), P0(1), P1(1))
@@ -115,6 +115,37 @@ def test_enumerate_objects_counts():
 
 def test_enumerate_objects_unrealizable_type_is_empty():
     assert enumerate_objects(Partition.of(4), Partition.of(1)) == []
+
+
+def test_enumerate_per_beta_matches_per_type_up_to_weight_9():
+    # one enumeration of an ambient type, grouped by quotient type, gives
+    # each type's list in its own order, with the same kept type
+    types = realizable = 0
+    for beta in all_partitions(9):
+        everything = enumerate_objects(beta)
+        assert len(set(everything)) == len(everything)
+        buckets = {}
+        for obj in everything:
+            assert obj._type[0] is beta
+            buckets.setdefault(obj._type[1], []).append(obj)
+        for gamma in subpartitions(beta):
+            types += 1
+            expected = enumerate_objects(beta, gamma)
+            got = buckets.pop(gamma, [])
+            assert got == expected
+            assert [o._type for o in got] == [o._type for o in expected]
+            realizable += bool(expected)
+        # every object has a quotient type inside beta
+        assert not buckets
+    assert (types, realizable) == (1592, 1200)
+
+
+def test_enumerate_per_beta_keeps_canonical_order():
+    everything = enumerate_objects(Partition.of(5, 4, 3, 2, 1))
+    assert everything == sorted(everything, key=lambda o: o.sort_key)
+    assert len(everything) == 314
+    assert everything[0] == S2Object.of(B2(5, 3), B2(4, 2), P1(1))
+    assert enumerate_objects(Partition()) == [S2Object()]
 
 
 def test_enumerate_against_direct_generation():

@@ -1,0 +1,88 @@
+"""Fuzzing of the three text parsers.
+
+Text is drawn from each parser's alphabet, either as a soup of
+characters and keywords or from the parser's grammar with numbers out of
+range, so that both malformed and well-formed input are common.  A
+parser either rejects the text with ``ValueError`` or ``ArcDegError``,
+or returns a value that reads back unchanged from its own text form.
+"""
+
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
+
+from arcdeg.errors import ArcDegError
+from arcdeg.objects import ArcDiagram, S2Object
+from arcdeg.partitions import Partition
+
+DIGITS = list("0123456789")
+
+
+NUMBERS = st.integers(0, 9).map(str) | st.sampled_from(["-1", "007", "12"])
+SPACES = st.sampled_from(["", " "])
+# mostly well-formed arcs m-r with m > r >= 1
+ARCS = st.lists(st.integers(1, 9), min_size=2, max_size=2, unique=True).map(lambda mr: "{}-{}".format(*sorted(mr)[::-1]))
+
+
+def texts(tokens, grammar):
+    soup = st.lists(st.sampled_from(tokens), max_size=24).map("".join)
+    return st.one_of(soup, grammar)
+
+
+def joined(separator, items):
+    return st.lists(st.tuples(SPACES, items), max_size=4).map(lambda xs: separator.join(a + b for a, b in xs))
+
+
+SUMMAND = st.builds(
+    lambda kind, m, r: f"{kind}({m})" if r is None else f"{kind}({m},{r})",
+    st.sampled_from(["B", "B2", "P0", "P1", "P2", "Q"]),
+    NUMBERS,
+    st.none() | st.none() | NUMBERS,
+)
+GROUP = st.builds(
+    lambda name, items: f"{name}:{items}",
+    st.sampled_from(["arcs", "arcs", "poles", "loops", "ARCS", " Poles", "x"]),
+    st.one_of(joined(",", NUMBERS), joined(",", st.builds("{}-{}".format, NUMBERS, NUMBERS) | ARCS)),
+)
+
+PARTITION_TEXT = texts(DIGITS + [",", " ", "-", "+", "\t"], joined(",", NUMBERS))
+OBJECT_TEXT = texts(DIGITS + ["B", "B2", "P0", "P1", "P2", "P", "Q", "(", ")", ",", "+", " ", "-"], joined("+", SUMMAND))
+DIAGRAM_TEXT = texts(DIGITS + ["arcs", "poles", "loops", "ARCS", "x", ":", ";", ",", "-", " "], joined(";", GROUP))
+
+
+def parse(cls, text):
+    """The parsed value, or None when the text is rejected as it should be."""
+    try:
+        return cls.from_text(text)
+    except (ValueError, ArcDegError):
+        return None
+
+
+def parses_or_rejects(cls, text):
+    value = parse(cls, text)
+    if value is not None:
+        assert cls.from_text(value.to_text()) == value
+
+
+@settings(max_examples=300)
+@given(PARTITION_TEXT)
+def test_partition_text_fuzz(text):
+    parses_or_rejects(Partition, text)
+
+
+@settings(max_examples=300)
+@given(OBJECT_TEXT)
+def test_object_text_fuzz(text):
+    parses_or_rejects(S2Object, text)
+
+
+@settings(max_examples=300)
+@given(DIAGRAM_TEXT)
+def test_diagram_text_fuzz(text):
+    parses_or_rejects(ArcDiagram, text)
+
+
+def test_fuzz_alphabets_reach_well_formed_text():
+    # the fuzzers above also draw text that parses to values with parts
+    find(PARTITION_TEXT, lambda t: len(parse(Partition, t) or ()) >= 2)
+    find(OBJECT_TEXT, lambda t: len(parse(S2Object, t) or ()) >= 2)
+    find(DIAGRAM_TEXT, lambda t: len(getattr(parse(ArcDiagram, t), "arcs", ())) >= 1)

@@ -5,8 +5,9 @@ import pytest
 
 from arcdeg.cli import main
 from arcdeg.homcalc import _hom_rows, hom_leq, hom_obj, test_set as hom_test_set
-from arcdeg.moves import _reach_ids, _type_graph, arc_leq
-from arcdeg.objects import S2Object, diagram_of_object, enumerate_objects
+from arcdeg.geometry import stratum_dim
+from arcdeg.moves import _reach_ids, _type_graph, arc_leq, down_moves
+from arcdeg.objects import S2Object, alpha_of, diagram_of_object, enumerate_objects
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions, iter_types, mesh_check, region_check, subpartitions
 
@@ -15,14 +16,36 @@ from conftest import DESCENT_Y, DESCENT_Z, run_python
 # Faults are injected in a fresh interpreter: patched in this process they
 # would leave wrong entries in the session-wide type-graph, closure and
 # hom-profile caches.
-ROLES_FAULT = """
-import sys
+# enumeration drops B2(4,1), so some moves lead to an object never enumerated
+ROLES_PATCH = """
 from arcdeg import objects
-from arcdeg.cli import main
 from arcdeg.objects import B2
 roles = objects._roles
 objects._roles = lambda m, rest: (role for role in roles(m, rest) if role[1] != B2(4, 1))
+"""
+
+ROLES_FAULT = ROLES_PATCH + """
+import sys
+from arcdeg.cli import main
 sys.exit(main(["verify", "--beta-max", "6"]))
+"""
+
+# every pole adds 2 to the stratum dimension, so an E move, which fuses
+# two poles into an arc, can lower it
+MONOTONICITY_PATCH = """
+from arcdeg import geometry
+dims = geometry._stratum_dim_less_crossings
+geometry._stratum_dim_less_crossings = lambda alpha, beta, gamma: (
+    dims(alpha, beta, gamma) + 2 * alpha.parts.count(1)
+)
+"""
+
+SWEEP_REPORT = """
+import json
+from arcdeg.verify import equivalence_sweep
+report = equivalence_sweep(6)
+counts = [report.types_seen, report.types_realizable, report.objects_total, report.pairs_checked, report.move_edges]
+print(json.dumps([counts, report.failures]))
 """
 
 HOM_FAULT = """
@@ -253,11 +276,49 @@ def test_cli_parse_error_exit_code(capsys):
 
 
 def test_cli_verify_reports_a_move_that_leaves_the_type():
-    # enumeration drops B2(4,1), so some moves lead to an object never enumerated
     proc = run_python("-c", ROLES_FAULT)
     assert proc.returncode == 1, proc.stderr
     assert "FAILED move-type" in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+def test_sweep_move_type_fault_report():
+    # report recorded from the sweep that regenerated every move per object
+    proc = run_python("-c", ROLES_PATCH + SWEEP_REPORT)
+    assert proc.returncode == 0, proc.stderr
+    counts, failures = json.loads(proc.stdout)
+    assert counts == [229, 195, 231, 311, 41]
+    assert failures == {
+        "move-type": [
+            "E(4,1) leaves the type from P1(4)+P1(1)",
+            "E(4,1) leaves the type from P1(4)+P1(1)+P1(1)",
+            "E(4,1) leaves the type from P1(4)+P1(1)+P0(1)",
+        ]
+    }
+
+
+def test_sweep_monotonicity_fault_report():
+    proc = run_python("-c", MONOTONICITY_PATCH + SWEEP_REPORT)
+    assert proc.returncode == 0, proc.stderr
+    counts, failures = json.loads(proc.stdout)
+    assert counts == [229, 195, 234, 320, 41]
+    # reference: every move of every object, with the faulty dimension
+    def dim(o):
+        return stratum_dim(o) + 2 * alpha_of(o).parts.count(1)
+
+    expected = []
+    for beta, gamma in iter_types(6):
+        objects = enumerate_objects(beta, gamma)
+        by_diagram = {diagram_of_object(o): o for o in objects}
+        for o in objects:
+            for move, nxt in down_moves(diagram_of_object(o)):
+                target = by_diagram[nxt]
+                if dim(target) < dim(o) + 1:
+                    expected.append(f"{move} from {o.to_text()} ({dim(o)} -> {dim(target)})")
+    assert failures == {"dimension-monotonicity": expected}
+    # as recorded from the sweep that regenerated every move per object
+    assert len(expected) == 39
+    assert expected[0] == "E(5,1) from P1(5)+P1(1) (36 -> 33)"
 
 
 def test_sweep_picket_check_names_each_failing_object_once():
@@ -295,7 +356,8 @@ def test_sweep_tables_match_point_queries_up_to_weight_7():
     # hom_leq and arc_leq stay the reference
     pairs = 0
     for beta, gamma in iter_types(7):
-        objects, succ = _type_graph(beta, gamma)
+        graph = _type_graph(beta, gamma)
+        objects = graph.nodes
         if not objects:
             continue
         xs = hom_test_set(beta)
@@ -304,7 +366,7 @@ def test_sweep_tables_match_point_queries_up_to_weight_7():
             assert row == tuple(hom_obj(S2Object.of(x), o) for x in xs)
         wide = beta.max_part + 4
         wide_rows = _hom_rows(hom_test_set(beta, wide), objects)
-        reach = _reach_ids(succ, [diagram_of_object(o) for o in objects])
+        reach = _reach_ids(graph)
         for i, y in enumerate(objects):
             for j, z in enumerate(objects):
                 pairs += 1
