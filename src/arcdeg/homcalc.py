@@ -4,17 +4,19 @@ extension to objects, the difference data attached to a same-type pair
 over the whole test set), the finite test set that decides the hom
 order, and the four-term mesh identity relating the two kinds of delta.
 
-Hom values come from two memo tables keyed by plain ``(kind, m, r)``
-tuples and filled only through the module attribute ``hom_indec``, so
-a patched ``hom_indec`` reaches every path: one value per pair of
-indecomposables (``hom_obj``, ``delta_hom``), and one column per (test
-set, summand) for ``_hom_rows(xs, objects)``, the kernel that gives
-each object the tuple of [x, o] over the indecomposables xs as a sum of
-its summands' columns.  Both tables outlive a call, so later calls and
-other types reuse them.  A whole type's hom order is one matrix
-(objects by test set) with y below z iff row y is entrywise at most
-row z; the sweep reads it this way.  Point queries take one cached row
-per object (``_hom_profile``, the same kernel on a single object).
+Hom values are read only through the module attribute ``hom_indec``,
+so a patched ``hom_indec`` reaches every path.  Its cache is the one
+table of pair values (``hom_obj``, ``delta_hom``); it holds at most the
+square of the number of indecomposables with parts up to the largest
+part seen.  ``_hom_rows(xs, objects)``, the kernel that gives each
+object the tuple of [x, o] over the indecomposables xs as a sum of its
+summands' columns, keeps one column per (test set, summand).  Summands
+and test sets are their own keys.  Both tables outlive a call, so later
+calls and other types reuse them.  A whole type's hom order is one
+matrix (objects by test set) with y below z iff row y is entrywise at
+most row z; the sweep reads it this way.  Point queries take one cached
+row per object (``_hom_profile``, the same kernel on a single object,
+for the 4096 most recent).
 
 The dimension of the morphism space between two indecomposables is a
 closed formula in the parameters, built from truncated minima:
@@ -82,36 +84,22 @@ def table_entry(xkind: str, xl: int, xt: int, ykind: str, ym: int, yr: int) -> i
 @lru_cache(maxsize=None)
 def hom_indec(x: Indecomposable, y: Indecomposable) -> int:
     """Dimension of the space of morphisms from x to y."""
-    return table_entry(x.kind, x.m, x.r, y.kind, y.m, y.r)
+    return table_entry(*x, *y)
 
 
-# [x, y] keyed by (x.kind, x.m, x.r, y.kind, y.m, y.r); see _hom_pair
-_PAIRS: dict[tuple, int] = {}
-# per tuple of test-object keys, per summand key, the column of [x, s]; see _hom_rows
-_COLUMNS: dict[tuple, dict[tuple, tuple[int, ...]]] = {}
-
-
-def _hom_pair(x: Indecomposable, y: Indecomposable) -> int:
-    """[x, y], looked up in a table keyed by plain (kind, m, r) tuples
-    and filled through ``hom_indec``.  The table holds one entry per
-    pair of indecomposables ever asked for, so at most the square of the
-    number of indecomposables with parts up to the largest part seen."""
-    key = (x.kind, x.m, x.r, y.kind, y.m, y.r)
-    value = _PAIRS.get(key)
-    if value is None:
-        value = _PAIRS[key] = hom_indec(x, y)
-    return value
+# per test set, per summand, the column of [x, s] over the test set; see _hom_rows
+_COLUMNS: dict[tuple[Indecomposable, ...], dict[Indecomposable, tuple[int, ...]]] = {}
 
 
 def hom_obj(a: S2Object, b: S2Object) -> int:
     """Morphism-space dimension between objects, biadditive in both."""
-    return sum(_hom_pair(s, t) for s in a.summands for t in b.summands)
+    return sum(hom_indec(s, t) for s in a.summands for t in b.summands)
 
 
 def delta_hom(y: S2Object, z: S2Object, x: Indecomposable) -> int:
     """[x, z] - [x, y] for same-type objects y, z."""
     require_same_type(y, z)
-    return sum(_hom_pair(x, s) for s in z.summands) - sum(_hom_pair(x, s) for s in y.summands)
+    return sum(hom_indec(x, s) for s in z.summands) - sum(hom_indec(x, s) for s in y.summands)
 
 
 def delta_mult(y: S2Object, z: S2Object, x: Indecomposable) -> int:
@@ -145,28 +133,27 @@ def _test_set(bound: int) -> tuple[Indecomposable, ...]:
 
 def _hom_rows(xs, objects) -> list[tuple[int, ...]]:
     """For each object o, the tuple of [x, o] over the indecomposables xs:
-    one column of ``_hom_pair`` values per distinct summand, summed.
+    one column of ``hom_indec`` values per distinct summand, summed.
 
-    Columns are kept per (xs, summand), keyed by plain tuples, and reused
-    by later calls on any type.  Callers pass test sets and picket probe
-    lists, which are fixed by a bound on the parts, so the table holds at
-    most one column per summand for each such bound in use."""
-    cols = _COLUMNS.setdefault(tuple((x.kind, x.m, x.r) for x in xs), {})
+    Columns are kept per (xs, summand) and reused by later calls on any
+    type.  Callers pass test sets and picket probe lists, which are fixed
+    by a bound on the parts, so the table holds at most one column per
+    summand for each such bound in use."""
+    cols = _COLUMNS.setdefault(tuple(xs), {})
     rows = []
     for o in objects:
         summed = []
         for s in o.summands:
-            key = (s.kind, s.m, s.r)
-            col = cols.get(key)
+            col = cols.get(s)
             if col is None:
-                col = cols[key] = tuple(_hom_pair(x, s) for x in xs)
+                col = cols[s] = tuple(hom_indec(x, s) for x in xs)
             summed.append(col)
         # the zero object has no column to sum
         rows.append(tuple(map(sum, zip(*summed))) if summed else (0,) * len(xs))
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _hom_profile(obj: S2Object, bound: int | None) -> tuple[int, ...]:
     return _hom_rows(test_set(object_type(obj)[0], bound), (obj,))[0]
 

@@ -18,13 +18,15 @@ of the moves is the arc order.  Moves act on the integer (arcs, poles)
 tuples of a diagram and never touch its loops.  A point query
 (``arc_leq``) searches the down-closure of one diagram with an explicit
 stack.  A whole type has one record (``TypeGraph``), built once from its
-objects: per object id, the diagram tuples, crossings, pole count,
-successor ids, move count and the moves that leave the type.  Its
-closure is one bitset per object (``_reach_ids``), built in ascending
-(poles, crossings) order, which is topological since every move lowers
-that pair.  From the record come Hasse diagrams (single moves need not
-be covers, so the transitive reduction is taken), poset extrema, stratum
-dimensions and everything the verification sweep reads.
+objects: per object id, the diagram, crossings, pole count, successor
+ids, move count and the moves that leave the type.  Each diagram is
+its own key, equal to the plain (arcs, poles, loops) tuple of a move
+result.  The record's closure is one bitset per object
+(``_reach_ids``), built in ascending (poles, crossings) order, which is
+topological since every move lowers that pair.  From the record come
+Hasse diagrams (single moves need not be covers, so the transitive
+reduction is taken), poset extrema, stratum dimensions and everything
+the verification sweep reads.
 """
 
 from __future__ import annotations
@@ -278,7 +280,7 @@ class TypeGraph(NamedTuple):
     object id, its position in ``nodes``."""
 
     nodes: tuple[S2Object, ...]
-    diagrams: tuple[tuple[tuple, tuple, tuple], ...]  # (arcs, poles, loops)
+    diagrams: tuple[ArcDiagram, ...]
     crossings: tuple[int, ...]
     poles: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]  # sorted distinct ids of move results
@@ -291,17 +293,16 @@ class TypeGraph(NamedTuple):
 def _type_table(nodes) -> TypeGraph:
     """The record of a type from its objects in canonical order: the one
     place that derives their diagrams, crossings and moves."""
-    diagrams = [diagram_of_object(o) for o in nodes]
-    keys = tuple((d.arcs, d.poles, d.loops) for d in diagrams)
-    ids = {key: i for i, key in enumerate(keys)}
+    diagrams = tuple(diagram_of_object(o) for o in nodes)
+    ids = {d: i for i, d in enumerate(diagrams)}
     succ, counts, leaving = [], [], []
-    for arcs, poles, loops in keys:
+    for arcs, poles, loops in diagrams:
         moves = [(kind, pts, ids.get((*target, loops))) for kind, pts, target in _move_targets(arcs, poles)]
         succ.append(tuple(sorted({j for _, _, j in moves if j is not None})))
         counts.append(len(moves))
         leaving.append(tuple(sorted((kind, pts) for kind, pts, j in moves if j is None)))
     xs, poles = tuple(map(crossings, diagrams)), tuple(len(d.poles) for d in diagrams)
-    return TypeGraph(tuple(nodes), keys, xs, poles, tuple(succ), tuple(counts), tuple(leaving))
+    return TypeGraph(tuple(nodes), diagrams, xs, poles, tuple(succ), tuple(counts), tuple(leaving))
 
 
 @lru_cache(maxsize=16)
@@ -389,8 +390,8 @@ def hasse_dot(beta: Partition, gamma: Partition) -> str:
     graph = _type_graph(beta, gamma)
     lines = ["digraph hasse {", "  rankdir=TB;", "  node [shape=box];"]
     dims = _node_dims(graph, beta, gamma)
-    for i, (key, x, (alpha, dim)) in enumerate(zip(graph.diagrams, graph.crossings, dims)):
-        label = f"{ArcDiagram(*key).to_text()}\\nalpha={alpha.to_text() or '()'} x={x} dim={dim}"
+    for i, (d, x, (alpha, dim)) in enumerate(zip(graph.diagrams, graph.crossings, dims)):
+        label = f"{d.to_text()}\\nalpha={alpha.to_text() or '()'} x={x} dim={dim}"
         lines.append(f'  n{i} [label="{label}"];')
     lines += [f"  n{i} -> n{j};" for i, j in _cover_ids(graph)]
     lines.append("}")

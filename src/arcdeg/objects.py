@@ -19,6 +19,12 @@ one arc per ``B2(m, r)``, one arc (m, m-1) per ``P2(m) + P0(m-1)`` pair,
 one pole per ``P1``, and one loop per unpaired ``P2``; ``P0`` summands
 are invisible.
 
+Summands and arc diagrams are validated named tuples.  Each compares
+and hashes equal to its plain tuple, ``(kind, m, r)`` or ``(arcs,
+poles, loops)``, so it is its own key in every table.  The constructor
+checks the fields and sorts a diagram's groups; the inherited ``_make``
+and ``_replace`` skip both, and the library does not call them.
+
 An object's (ambient, quotient) type is derived once, by the first
 ``object_type`` call, and kept on the object in a field that takes no
 part in equality, hashing, ``repr`` or the text form;
@@ -30,6 +36,7 @@ derives.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -39,25 +46,23 @@ from .partitions import Partition
 _KIND_RANK = {"B2": 0, "P2": 1, "P1": 2, "P0": 3}
 
 
-@dataclass(frozen=True)
-class Indecomposable:
+class Indecomposable(namedtuple("Indecomposable", "kind m r")):
     """One indecomposable summand; ``r`` is meaningful only for kind B2."""
 
-    kind: str
-    m: int
-    r: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown summand kind {self.kind!r}")
-        if self.kind == "B2":
-            if not (1 <= self.r <= self.m - 2):
-                raise ValueError(f"B2({self.m},{self.r}) needs 1 <= r <= m-2")
+    def __new__(cls, kind: str, m: int, r: int = 0):
+        if kind not in _KIND_RANK:
+            raise ValueError(f"unknown summand kind {kind!r}")
+        if kind == "B2":
+            if not (1 <= r <= m - 2):
+                raise ValueError(f"B2({m},{r}) needs 1 <= r <= m-2")
         else:
-            if self.r != 0:
-                raise ValueError(f"{self.kind} takes a single parameter")
-            if self.m < 1 or (self.kind == "P2" and self.m < 2):
-                raise ValueError(f"{self.kind}({self.m}) is out of range")
+            if r != 0:
+                raise ValueError(f"{kind} takes a single parameter")
+            if m < 1 or (kind == "P2" and m < 2):
+                raise ValueError(f"{kind}({m}) is out of range")
+        return super().__new__(cls, kind, m, r)
 
     @property
     def sort_key(self) -> tuple[int, int, int]:
@@ -192,32 +197,29 @@ class S2Object:
         return tuple(s.sort_key for s in self.summands)
 
 
-@dataclass(frozen=True)
-class ArcDiagram:
+class ArcDiagram(namedtuple("ArcDiagram", "arcs poles loops")):
     """Multisets of arcs, poles and loops on the points 1, 2, 3, ...
 
     Arcs are pairs (m, r) with m > r >= 1 (the boundary case r = m - 1
     is allowed), poles are single points, loops mark points m >= 2 and
-    are untouched by every move.
+    are untouched by every move.  Each group is kept in descending order.
     """
 
-    arcs: tuple[tuple[int, int], ...] = ()
-    poles: tuple[int, ...] = ()
-    loops: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for m, r in self.arcs:
+    def __new__(
+        cls, arcs: tuple[tuple[int, int], ...] = (), poles: tuple[int, ...] = (), loops: tuple[int, ...] = ()
+    ):
+        for m, r in arcs:
             if not m > r >= 1:
                 raise ValueError(f"arc ({m},{r}) needs m > r >= 1")
-        for p in self.poles:
+        for p in poles:
             if p < 1:
                 raise ValueError(f"pole at {p} is out of range")
-        for q in self.loops:
+        for q in loops:
             if q < 2:
                 raise ValueError(f"loop at {q} is out of range (loops need m >= 2)")
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs, reverse=True)))
-        object.__setattr__(self, "poles", tuple(sorted(self.poles, reverse=True)))
-        object.__setattr__(self, "loops", tuple(sorted(self.loops, reverse=True)))
+        return super().__new__(cls, *(tuple(sorted(g, reverse=True)) for g in (arcs, poles, loops)))
 
     @classmethod
     def of(cls, arcs=(), poles=(), loops=()) -> "ArcDiagram":

@@ -103,7 +103,7 @@ def realize(obj: S2Object, p: int) -> RealizedObject:
     amb_parts: list[int] = []
     ones: list[tuple[int, int]] = []
     for s in obj.summands:
-        sp, ap, block = _summand_embedding(s.kind, s.m, s.r)
+        sp, ap, block = _summand_embedding(*s)
         row, col = sum(amb_parts), sum(sub_parts)
         ones.extend((row + i, col + j) for i, j in block)
         sub_parts.extend(sp)

@@ -21,12 +21,12 @@ one record (``moves.TypeGraph``) and is checked exhaustively:
   of the minimal-element count with the Littlewood-Richardson
   prediction whenever the skew type is a column strip.
 
-The moves, dimensions and extrema are read from the record.  Both orders
-come from whole-type tables: the hom order from one hom matrix per test
-set (``homcalc._hom_rows``), where y <= z iff row y is entrywise at most
-row z, and the arc order from the bitset closure of the record
-(``moves._reach_ids``), where y <= z iff bit y is set in the closure of
-z.  The point queries ``hom_leq`` and ``arc_leq`` decide the same orders
+The moves, crossings, dimensions and extrema are read from the record.
+Both orders come from whole-type tables: the hom order from one hom
+matrix per test set (``homcalc._hom_rows``), where y <= z iff row y is
+entrywise at most row z, and the arc order from the bitset closure of
+the record (``moves._reach_ids``), where y <= z iff bit y is set in the
+closure of z.  The point queries ``hom_leq`` and ``arc_leq`` decide the same orders
 pair by pair and are the tests' reference for both tables.
 """
 
@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from operator import le
 
-from .geometry import aut_degree, subspace_orbit_dim
+from .geometry import _orbit_dim, aut_degree
 from .homcalc import _hom_rows, delta_profile, hom_obj, mesh_defect_report, test_set
 from .lr import minimal_count_prediction
 from .moves import (
@@ -55,7 +55,6 @@ from .objects import (
     B2,
     P0,
     P2,
-    ArcDiagram,
     Indecomposable,
     S2Object,
     enumerate_objects,
@@ -161,25 +160,25 @@ def _check_type(report: SweepReport, beta: Partition, gamma: Partition, graph: T
     probes += [P2(m) for m in range(2, beta.max_part + 2)]
     picket_rows = _hom_rows(probes, objects)
     first = objects[0]
-    for i, (obj, key, homs, (alpha, dim)) in enumerate(zip(objects, graph.diagrams, picket_rows, dims)):
-        if object_of_diagram(ArcDiagram(*key), beta, gamma) != obj:
+    for i, (obj, d, homs, (alpha, dim)) in enumerate(zip(objects, graph.diagrams, picket_rows, dims)):
+        if object_of_diagram(d, beta, gamma) != obj:
             report.fail("roundtrip", obj.to_text())
         for probe, value, expected in zip(probes, homs, picket_rows[0]):
             if value != expected:
                 report.fail("picket-delta-zero", f"{probe.to_text()} on {first.to_text()} vs {obj.to_text()}")
         # orbit-stabilizer: the stabilizer of the embedding is Aut(obj),
-        # an open subset of End(obj); the orbit side derives its own
-        # crossings, apart from the record
+        # an open subset of End(obj); the orbit side reads the record's
+        # crossings, the stabilizer side the hom table
         auts = aut_degree(alpha) + aut_degree(beta)
-        if subspace_orbit_dim(obj) != auts - hom_obj(obj, obj):
+        if _orbit_dim(alpha, beta, gamma, graph.crossings[i]) != auts - hom_obj(obj, obj):
             report.fail("dimension-identity", obj.to_text())
         for kind, pts in graph.leaving[i]:
             report.fail("move-type", f"{Move(kind, pts)} leaves the type from {obj.to_text()}")
         if any(dims[j][1] <= dim for j in graph.succ[i]):
             # name each move to a failing result, in down_moves order
             ids = dict(zip(graph.diagrams, range(len(objects))))
-            for kind, pts, (arcs, poles) in sorted(_move_targets(*key[:2])):
-                j = ids.get((arcs, poles, key[2]))
+            for kind, pts, (arcs, poles) in sorted(_move_targets(d.arcs, d.poles)):
+                j = ids.get((arcs, poles, d.loops))
                 if j is not None and dims[j][1] <= dim:
                     message = f"{Move(kind, pts)} from {obj.to_text()} ({dim} -> {dims[j][1]})"
                     report.fail("dimension-monotonicity", message)
@@ -199,7 +198,7 @@ def _check_type(report: SweepReport, beta: Partition, gamma: Partition, graph: T
     maximal, minimal = _extrema_ids(graph)
     if len(maximal) != 1:
         report.fail("unique-maximal", f"type ({beta.to_text()};{gamma.to_text()})")
-    elif graph.diagrams[maximal[0]][0]:
+    elif graph.diagrams[maximal[0]].arcs:
         report.fail("maximal-has-arc", f"type ({beta.to_text()};{gamma.to_text()})")
     predicted = minimal_count_prediction(beta, gamma)
     if predicted is not None and predicted != len(minimal):

@@ -1,7 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arcdeg import geometry
+from arcdeg import moves
 from arcdeg.geometry import aut_degree, hall_degree, stratum_dim, subspace_orbit_dim
 from arcdeg.homcalc import hom_obj
 from arcdeg.objects import B2, P0, P1, P2, S2Object, alpha_of, crossings, object_type
@@ -53,7 +53,8 @@ def test_sweep_dimension_identity_catches_crossing_fault(monkeypatch):
         extra = sum(1 for m, _ in diagram.arcs for p in diagram.poles if p == m)
         return crossings(diagram) + extra
 
-    monkeypatch.setattr(geometry, "crossings", crossings_with_endpoint_poles)
+    # the type record takes its crossings from this binding
+    monkeypatch.setattr(moves, "crossings", crossings_with_endpoint_poles)
     assert "dimension-identity" in equivalence_sweep(7).failures
 
 

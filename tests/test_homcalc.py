@@ -223,3 +223,51 @@ def test_hom_tables_are_filled_through_hom_indec(query):
 
     assert scale(expected) != expected  # some value is nonzero, so the patch shows
     assert json.loads(proc.stdout) == scale(expected)
+
+
+# One fresh interpreter, one fault in the pair table, patched before any
+# hom value is computed; every path then runs in turn, hom_leq first, so
+# a path that kept a table of its own, filled apart from hom_indec, would
+# show the unfaulted value.
+ONE_ENTRY_FAULT = """
+import json, sys
+from arcdeg import homcalc
+from arcdeg.objects import B2, P2, S2Object
+table = homcalc.hom_indec
+homcalc.hom_indec = lambda x, y: table(x, y) + (x == B2(3, 1) and y == P2(5))
+y, z = (S2Object.from_text(t) for t in sys.argv[1:3])
+xs = homcalc.test_set(homcalc.object_type(y)[0])
+print(json.dumps({
+    "hom_leq": homcalc.hom_leq(y, z),
+    "delta_profile": homcalc.delta_profile(y, z),
+    "delta_hom": [homcalc.delta_hom(y, z, x) for x in xs],
+    "hom_obj": homcalc.hom_obj(S2Object.of(B2(3, 1)), y),
+    "_hom_rows": homcalc._hom_rows(xs, (y, z)),
+}))
+"""
+
+
+def test_one_hom_table_carries_a_fault_to_every_path():
+    y, z = DESCENT_Y, DESCENT_Z
+    xs = hom_test_set(object_type(y)[0])
+
+    def answers(pair):
+        def row(o):
+            return [sum(pair(x, s) for s in o.summands) for x in xs]
+
+        profile = [b - a for a, b in zip(row(y), row(z))]
+        return {
+            "hom_leq": min(profile) >= 0,
+            "delta_profile": profile,
+            "delta_hom": profile,
+            "hom_obj": sum(pair(B2(3, 1), s) for s in y.summands),
+            "_hom_rows": [row(y), row(z)],
+        }
+
+    clean = answers(hom_indec)
+    faulty = answers(lambda x, s: hom_indec(x, s) + (x == B2(3, 1) and s == P2(5)))
+    assert clean["hom_leq"] and not faulty["hom_leq"]
+    assert all(faulty[path] != clean[path] for path in clean)
+    proc = run_python("-c", ONE_ENTRY_FAULT, y.to_text(), z.to_text())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == faulty

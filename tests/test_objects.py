@@ -47,6 +47,32 @@ def test_indecomposable_validation():
         P2(1)
     with pytest.raises(ValueError):
         P0(0)
+    with pytest.raises(ValueError):
+        Indecomposable("Q1", 3)
+    with pytest.raises(ValueError):
+        Indecomposable("P1", 3, 1)  # pickets take a single parameter
+
+
+def test_arc_diagram_validation():
+    with pytest.raises(ValueError):
+        ArcDiagram(((3, 3),))
+    with pytest.raises(ValueError):
+        ArcDiagram((), (0,))
+    with pytest.raises(ValueError):
+        ArcDiagram((), (), (1,))
+    d = ArcDiagram(((4, 2), (5, 1)), (1, 3), (2, 5))
+    assert d.arcs == ((5, 1), (4, 2)) and d.poles == (3, 1) and d.loops == (5, 2)
+
+
+def test_summands_and_diagrams_are_their_own_keys():
+    assert repr(B2(5, 3)) == "Indecomposable(kind='B2', m=5, r=3)"
+    assert repr(P1(2)) == "Indecomposable(kind='P1', m=2, r=0)"
+    d = ArcDiagram.of([(5, 3)], [2], [4])
+    assert repr(d) == "ArcDiagram(arcs=((5, 3),), poles=(2,), loops=(4,))"
+    # the type record looks diagrams up by plain move targets
+    for value, plain in ((B2(5, 3), ("B2", 5, 3)), (d, (((5, 3),), (2,), (4,)))):
+        assert value == plain and hash(value) == hash(plain)
+        assert {value: 1}[plain] == 1
 
 
 def test_object_type_examples():
