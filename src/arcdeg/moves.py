@@ -19,14 +19,14 @@ tuples of a diagram and never touch its loops.  A point query
 (``arc_leq``) searches the down-closure of one diagram with an explicit
 stack.  A whole type has one record (``TypeGraph``), built once from its
 objects: per object id, the diagram, crossings, pole count, successor
-ids, move count and the moves that leave the type.  Each diagram is
-its own key, equal to the plain (arcs, poles, loops) tuple of a move
-result.  The record's closure is one bitset per object
-(``_reach_ids``), built in ascending (poles, crossings) order, which is
-topological since every move lowers that pair.  From the record come
-Hasse diagrams (single moves need not be covers, so the transitive
-reduction is taken), poset extrema, stratum dimensions and everything
-the verification sweep reads.
+ids, move count and the moves that leave the type.  It finds a move's
+result by an exact integer code of the diagram, the source's code plus
+the move's delta, so it builds no result.  The record's closure is one
+bitset per object (``_reach_ids``), built in ascending (poles,
+crossings) order, which is topological since every move lowers that
+pair.  From the record come Hasse diagrams (single moves need not be
+covers, so the transitive reduction is taken), poset extrema, stratum
+dimensions and everything the verification sweep reads.
 """
 
 from __future__ import annotations
@@ -290,17 +290,50 @@ class TypeGraph(NamedTuple):
     leaving: tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]
 
 
+def _code(w: int, arcs, poles, loops=()) -> int:
+    """The integer code of a multiset of pieces: the multiplicity of each
+    piece in its own digit of w bits, arc (m, r) at digit
+    2·(m(m-1)/2 + r), pole p at 4p+1 and loop q at 4q+3.  It is exact
+    while no multiplicity reaches 2**w."""
+    code = 0
+    for m, r in arcs:
+        code += 1 << w * (m * (m - 1) + 2 * r)
+    for p in poles:
+        code += 1 << w * (4 * p + 1)
+    for q in loops:
+        code += 1 << w * (4 * q + 3)
+    return code
+
+
+# what each move adds to a code, per digit width and then per (kind,
+# points): one entry per (w, kind, points) seen
+_DELTAS: dict[int, dict[tuple[str, tuple[int, ...]], int]] = {}
+
+
 def _type_table(nodes) -> TypeGraph:
     """The record of a type from its objects in canonical order: the one
-    place that derives their diagrams, crossings and moves."""
+    place that derives their diagrams, crossings and moves.  The codes'
+    digits are as wide as the largest point count 2·arcs + poles + loops,
+    which bounds every multiplicity and which no move changes, so every
+    code here, and every move result's, is exact."""
     diagrams = tuple(diagram_of_object(o) for o in nodes)
-    ids = {d: i for i, d in enumerate(diagrams)}
+    w = max((2 * len(a) + len(p) + len(q) for a, p, q in diagrams), default=0).bit_length()
+    codes = [_code(w, *d) for d in diagrams]
+    ids = {c: i for i, c in enumerate(codes)}
+    deltas = _DELTAS.setdefault(w, {})
     succ, counts, leaving = [], [], []
-    for arcs, poles, loops in diagrams:
-        moves = [(kind, pts, ids.get((*target, loops))) for kind, pts, target in _move_targets(arcs, poles)]
-        succ.append(tuple(sorted({j for _, _, j in moves if j is not None})))
+    for (arcs, poles, _), code in zip(diagrams, codes):
+        moves, targets = list(_move_candidates(arcs, poles)), []
+        for move in moves:
+            delta = deltas.get(move)
+            if delta is None:
+                # a move adds the same to the code of every diagram it applies to
+                ((_, _, target),) = _apply_moves([move], arcs, poles)
+                delta = deltas[move] = _code(w, *target) - _code(w, arcs, poles)
+            targets.append(ids.get(code + delta))
+        succ.append(tuple(sorted({j for j in targets if j is not None})))
         counts.append(len(moves))
-        leaving.append(tuple(sorted((kind, pts) for kind, pts, j in moves if j is None)))
+        leaving.append(tuple(sorted(move for move, j in zip(moves, targets) if j is None)))
     xs, poles = tuple(map(crossings, diagrams)), tuple(len(d.poles) for d in diagrams)
     return TypeGraph(tuple(nodes), diagrams, xs, poles, tuple(succ), tuple(counts), tuple(leaving))
 

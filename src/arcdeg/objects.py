@@ -30,7 +30,8 @@ An object's (ambient, quotient) type is derived once, by the first
 part in equality, hashing, ``repr`` or the text form;
 ``enumerate_objects`` fills that field with the type it was given or,
 when enumerating a whole ambient type, with the quotient type it
-derives.
+derives.  Each enumeration builds each summand once, with its sort key
+and quotient parts, and sorts the objects once, on those sort keys.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import InconsistentDiagram, TypeMismatch
 from .partitions import Partition
@@ -54,6 +56,8 @@ class Indecomposable(namedtuple("Indecomposable", "kind m r")):
     def __new__(cls, kind: str, m: int, r: int = 0):
         if kind not in _KIND_RANK:
             raise ValueError(f"unknown summand kind {kind!r}")
+        if type(m) is not int or type(r) is not int:
+            raise ValueError(f"{kind} takes integer parameters, got {m!r}, {r!r}")
         if kind == "B2":
             if not (1 <= r <= m - 2):
                 raise ValueError(f"B2({m},{r}) needs 1 <= r <= m-2")
@@ -211,14 +215,14 @@ class ArcDiagram(namedtuple("ArcDiagram", "arcs poles loops")):
         cls, arcs: tuple[tuple[int, int], ...] = (), poles: tuple[int, ...] = (), loops: tuple[int, ...] = ()
     ):
         for m, r in arcs:
-            if not m > r >= 1:
-                raise ValueError(f"arc ({m},{r}) needs m > r >= 1")
+            if type(m) is not int or type(r) is not int or not m > r >= 1:
+                raise ValueError(f"arc ({m!r},{r!r}) needs integers m > r >= 1")
         for p in poles:
-            if p < 1:
-                raise ValueError(f"pole at {p} is out of range")
+            if type(p) is not int or p < 1:
+                raise ValueError(f"pole at {p!r} is out of range")
         for q in loops:
-            if q < 2:
-                raise ValueError(f"loop at {q} is out of range (loops need m >= 2)")
+            if type(q) is not int or q < 2:
+                raise ValueError(f"loop at {q!r} is out of range (loops need integers m >= 2)")
         return super().__new__(cls, *(tuple(sorted(g, reverse=True)) for g in (arcs, poles, loops)))
 
     @classmethod
@@ -406,39 +410,54 @@ def enumerate_objects(beta: Partition, gamma: Partition | None = None) -> list[S
     """All objects of type (beta, gamma), without duplicates, in canonical
     order; the list is empty exactly when the type is unrealizable.
     Without gamma, every object of ambient type beta once, in canonical
-    order, its quotient type derived once all its summands are chosen."""
-    results: list[S2Object] = []
+    order, its quotient type derived once all its summands are chosen.
+    Role lists are kept per (part, partner values), summands per call."""
+    found: list[tuple[tuple, S2Object]] = []
     quotients: dict[tuple[int, ...], Partition] = {}
+    roles: dict[tuple[int, tuple[int, ...]], list] = {}
+    # summand -> ((sort key, summand), quotient parts, bipicket partner part)
+    summands: dict[Indecomposable, tuple] = {}
     # depth-first over the ambient parts, largest first; an explicit stack
-    # because a type may have more parts than the interpreter's recursion limit
+    # because a type may have more parts than the interpreter's recursion
+    # limit.  Without gamma, the second entry collects the quotient parts.
     stack = [(beta.parts, () if gamma is None else gamma.parts, (), None)]
     while stack:
         beta_rem, gamma_rem, acc, prev = stack.pop()
         if not beta_rem:
             quotient = gamma
             if gamma is None:
-                parts = tuple(sorted((p for s in acc for p in s.quotient_parts()), reverse=True))
+                parts = tuple(sorted(gamma_rem, reverse=True))
                 if parts not in quotients:
                     quotients[parts] = Partition(parts)
                 quotient = quotients[parts]
             elif gamma_rem:
                 continue
-            obj = S2Object(acc)
+            # acc holds (sort key, summand) pairs, so sorting it gives the
+            # canonical summand order and the object's sort key at once
+            key = tuple(sorted(acc))
+            obj = object.__new__(S2Object)
+            object.__setattr__(obj, "summands", tuple(s for _, s in key))
             # the type is known here, so object_type need not derive it
             object.__setattr__(obj, "_type", (beta, quotient))
-            results.append(obj)
+            found.append((key, obj))
             continue
-        if gamma_rem and gamma_rem[0] > beta_rem[0]:
+        if gamma is not None and gamma_rem and gamma_rem[0] > beta_rem[0]:
             continue
         m, rest = beta_rem[0], beta_rem[1:]
-        for token, summand in _roles(m, rest):
+        partners = tuple(dict.fromkeys(p for p in rest if p <= m - 2))
+        choices = roles.get((m, partners))
+        if choices is None:
+            choices = roles[m, partners] = [
+                (token, summands.setdefault(s, ((s.sort_key, s), s.quotient_parts(), s.ambient_parts()[1:])))
+                for token, s in _roles(m, partners)
+            ]
+        for token, (pair, quotient, partner) in choices:
             if prev is not None and prev[0] == m and token < prev[1]:
                 continue
-            new_gamma = gamma_rem if gamma is None else _remove_values(gamma_rem, summand.quotient_parts())
+            new_gamma = gamma_rem + quotient if gamma is None else _remove_values(gamma_rem, quotient)
             if new_gamma is None:
                 continue
             # the bipicket's partner part r is in rest, by the choice of r
-            new_beta = _remove_values(rest, summand.ambient_parts()[1:])
-            stack.append((new_beta, new_gamma, acc + (summand,), (m, token)))
-    results.sort(key=lambda o: o.sort_key)
-    return results
+            stack.append((_remove_values(rest, partner), new_gamma, acc + (pair,), (m, token)))
+    found.sort(key=itemgetter(0))
+    return [obj for _, obj in found]

@@ -26,7 +26,7 @@ class Partition:
     def __post_init__(self):
         cleaned = []
         for p in self.parts:
-            if not isinstance(p, int) or p < 0:
+            if type(p) is not int or p < 0:
                 raise ValueError(f"partition parts must be nonnegative integers, got {p!r}")
             if p > 0:
                 cleaned.append(p)

@@ -358,6 +358,19 @@ def test_type_graph_columns_match_point_functions_up_to_weight_8():
         assert graph.leaving == ((),) * len(graph.nodes)
 
 
+def _record_from_down_moves(nodes):
+    """(succ, moves, leaving) of a record of these objects, from the
+    point path: each node's down_moves results looked up as diagrams."""
+    ids = {diagram_of_object(o): i for i, o in enumerate(nodes)}
+    succ, moves, leaving = [], [], []
+    for o in nodes:
+        found = down_moves(diagram_of_object(o))
+        succ.append(tuple(sorted({ids[nxt] for _, nxt in found if nxt in ids})))
+        moves.append(len(found))
+        leaving.append(tuple((mv.kind, mv.points) for mv, nxt in found if nxt not in ids))
+    return tuple(succ), tuple(moves), tuple(leaving)
+
+
 def test_type_table_records_the_moves_that_leave_its_objects():
     # a record of part of a type lists, per node and in down_moves order,
     # exactly the moves to the objects left out: here every other object,
@@ -366,12 +379,29 @@ def test_type_table_records_the_moves_that_leave_its_objects():
         nodes = enumerate_objects(beta, gamma)
         for kept in [nodes[::2]] + [[o] for o in nodes]:
             graph = _type_table(kept)
-            kept_diagrams = {diagram_of_object(o) for o in kept}
-            moves = [down_moves(diagram_of_object(o)) for o in kept]
-            assert graph.leaving == tuple(
-                tuple((mv.kind, mv.points) for mv, nxt in found if nxt not in kept_diagrams) for found in moves
-            )
-            assert graph.moves == tuple(map(len, moves))
+            assert (graph.succ, graph.moves, graph.leaving) == _record_from_down_moves(kept)
+
+
+def test_type_table_codes_are_exact_at_the_width_boundary():
+    # seven poles at 2: the record's largest point count is 7 = 2**3 - 1,
+    # so its codes have 3-bit digits and this multiplicity fills one
+    boundary = enumerate_objects(Partition.of(*[2] * 7), Partition.of(*[1] * 7))
+    assert [diagram_of_object(o) for o in boundary] == [ArcDiagram((), (2,) * 7)]
+    # a nearby type with moves: E(3,2) takes poles 3,2,2,2,2 to arc 3-2
+    # with poles 2,2,2, whose code equals the seven poles' at 2-bit digits;
+    # in one record with them, either object may come first
+    nearby = enumerate_objects(Partition.of(3, 2, 2, 2, 2), Partition.of(2, 1, 1, 1, 1))
+    assert ArcDiagram(((3, 2),), (2, 2, 2)) in map(diagram_of_object, nearby)
+    for nodes in (boundary, nearby, boundary + nearby, nearby + boundary):
+        graph = _type_table(nodes)
+        assert (graph.succ, graph.moves, graph.leaving) == _record_from_down_moves(nodes)
+
+
+def test_type_graph_matches_down_moves_on_staircase_9():
+    beta, gamma = Partition.of(9, 8, 7, 6, 5, 4, 3, 2, 1), Partition.of(8, 7, 6, 5, 4, 3, 2, 1)
+    graph = _type_graph(beta, gamma)
+    assert len(graph.nodes) == 2620
+    assert (graph.succ, graph.moves, graph.leaving) == _record_from_down_moves(graph.nodes)
 
 
 def test_hasse_matches_reference_up_to_weight_8():

@@ -51,6 +51,10 @@ def test_indecomposable_validation():
         Indecomposable("Q1", 3)
     with pytest.raises(ValueError):
         Indecomposable("P1", 3, 1)  # pickets take a single parameter
+    # parameters are integers: not floats, strings or bools
+    for kind, m, r in (("P1", 2.5, 0), ("B2", 5.0, 3), ("B2", 5, 3.0), ("P0", "3", 0), ("P1", True, 0)):
+        with pytest.raises(ValueError):
+            Indecomposable(kind, m, r)
 
 
 def test_arc_diagram_validation():
@@ -60,6 +64,9 @@ def test_arc_diagram_validation():
         ArcDiagram((), (0,))
     with pytest.raises(ValueError):
         ArcDiagram((), (), (1,))
+    for arcs, poles, loops in ((((3.0, 1),), (), ()), (((3, True),), (), ()), ((), (2.0,), ()), ((), (True,), ()), ((), (), (3.5,))):
+        with pytest.raises(ValueError):
+            ArcDiagram(arcs, poles, loops)
     d = ArcDiagram(((4, 2), (5, 1)), (1, 3), (2, 5))
     assert d.arcs == ((5, 1), (4, 2)) and d.poles == (3, 1) and d.loops == (5, 2)
 
@@ -69,7 +76,7 @@ def test_summands_and_diagrams_are_their_own_keys():
     assert repr(P1(2)) == "Indecomposable(kind='P1', m=2, r=0)"
     d = ArcDiagram.of([(5, 3)], [2], [4])
     assert repr(d) == "ArcDiagram(arcs=((5, 3),), poles=(2,), loops=(4,))"
-    # the type record looks diagrams up by plain move targets
+    # the sweep's failure messages look diagrams up by plain move targets
     for value, plain in ((B2(5, 3), ("B2", 5, 3)), (d, (((5, 3),), (2,), (4,)))):
         assert value == plain and hash(value) == hash(plain)
         assert {value: 1}[plain] == 1

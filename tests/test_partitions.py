@@ -53,6 +53,12 @@ def test_normalization_and_text():
         Partition.of(-1)
 
 
+def test_partition_parts_are_integers():
+    for parts in ((True, 2), (2.5,), (3.0, 1), ("3",), (False,)):
+        with pytest.raises(ValueError):
+            Partition(parts)
+
+
 @given(parts_lists)
 def test_constructor_canonicalizes(parts):
     p = Partition(tuple(parts))

@@ -215,6 +215,30 @@ def test_cli_hasse_dot_is_byte_identical_on_staircase_8(capsys):
     )
 
 
+def test_cli_hasse_dot_is_byte_identical_on_staircase_9(capsys):
+    # digest recorded from the record that built every move result as a tuple
+    code, out, _ = run_cli(
+        capsys, "hasse", "--beta", "9,8,7,6,5,4,3,2,1", "--gamma", "8,7,6,5,4,3,2,1", "--dot", "-"
+    )
+    assert code == 0
+    assert out.count("->") == 13018
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "28440042d2949e8b4eae2b1a6fdc494b95262107deda23d439bbe192943895dd"
+    )
+
+
+def test_cli_enumerate_json_is_byte_identical_on_staircase_8(capsys):
+    # digest recorded from the enumerator that rebuilt each summand per step
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--beta", "8,7,6,5,4,3,2,1", "--gamma", "7,6,5,4,3,2,1", "--json"
+    )
+    assert code == 0
+    assert len(json.loads(out)) == 764
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "13095d14a1cc44507cbaad84c37e52503bd103eb112f850812f5c36c1fb49db9"
+    )
+
+
 # digests recorded from the dataclass-keyed hom caches, the recursive
 # diagram closure and the dense numpy elimination
 POINT_QUERY_DIGESTS = {
