@@ -15,7 +15,6 @@ from arcdeg import (
     P2,
     Move,
     S2Object,
-    band_delta_hom,
     delta_hom,
     delta_mult,
     hom_indec,
@@ -53,18 +52,15 @@ for t in (P1(1), P1(2), P1(3), B2(6, 2), B2(6, 3)):
 
 print("\nmesh identity at the two marked cells (pole +1, arc -1):")
 m, r = move.points
-plus = (
-    band_delta_hom(smaller, larger, m, 0)
-    + band_delta_hom(smaller, larger, m + 1, 1)
-    - band_delta_hom(smaller, larger, m + 1, 0)
-    - band_delta_hom(smaller, larger, m, 1)
-)
-minus = (
-    band_delta_hom(smaller, larger, m, r)
-    + band_delta_hom(smaller, larger, m + 1, r + 1)
-    - band_delta_hom(smaller, larger, m + 1, r)
-    - band_delta_hom(smaller, larger, m, r + 1)
-)
+
+
+def dh(x):
+    """Hom delta at a band cell's label: P1(ell) at t = 0, B2(ell, t) inside."""
+    return delta_hom(smaller, larger, x)
+
+
+plus = dh(P1(m)) + dh(B2(m + 1, 1)) - dh(P1(m + 1)) - dh(B2(m, 1))
+minus = dh(B2(m, r)) + dh(B2(m + 1, r + 1)) - dh(B2(m + 1, r)) - dh(B2(m, r + 1))
 print(f"  at the vanished pole:  mesh={plus:+d}  mult delta={delta_mult(smaller, larger, P1(m)):+d}")
 print(f"  at the created arc:    mesh={minus:+d}  mult delta={delta_mult(smaller, larger, B2(m, r)):+d}")
 

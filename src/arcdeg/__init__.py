@@ -13,8 +13,6 @@ from .errors import (
 )
 from .geometry import aut_degree, hall_degree, stratum_dim, subspace_orbit_dim
 from .homcalc import (
-    BandCell,
-    band_delta_hom,
     delta_hom,
     delta_mult,
     hom_indec,

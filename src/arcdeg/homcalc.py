@@ -3,6 +3,10 @@ extension to objects, the difference data attached to a same-type pair
 (multiplicity deltas, hom deltas, and ``delta_profile``, the hom deltas
 over the whole test set), the finite test set that decides the hom
 order, and the four-term mesh identity relating the two kinds of delta.
+The mesh runs over band cells (ell, t), labelled P1(ell), B2(ell, t) or
+the pair P2(ell) + P0(ell-1); every single label in a window n is a
+member of the test set at cutoff n + 1, so the mesh reads its hom deltas
+from one ``delta_profile`` at that cutoff.
 
 Hom values are read only through the module attribute ``hom_indec``,
 so a patched ``hom_indec`` reaches every path.  Its cache is the one
@@ -34,15 +38,16 @@ P1(l)       min(l-1,m)       min(l,m)     min(l,m)+min(l-1,r)            min(l,m
 
 The bipicket formulas remain valid at the boundary parameter r = m - 1,
 where they agree with the sum over the pair ``P2(m) + P0(m-1)``; this is
-what makes the band coordinates below consistent.
+what gives the pair's band cell hom delta 0.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .objects import B2, P1, Indecomposable, S2Object, arc_summands, object_type, require_same_type
+from .objects import B2, P1, Indecomposable, S2Object, object_type, require_same_type
 from .partitions import Partition
 
 
@@ -172,46 +177,21 @@ def hom_leq(y: S2Object, z: S2Object, bound: int | None = None) -> bool:
 
 
 @dataclass(frozen=True)
-class BandCell:
-    """One position of the stripe carrying the nonzero hom deltas.
-
-    Cells are indexed by (ell, t) with 0 <= t <= ell - 1; the translate
-    direction is (ell, t) -> (ell + 1, t + 1).  The label is P1(ell) at
-    t = 0, the pair P2(ell) + P0(ell-1) at t = ell - 1 (those cells
-    always carry hom delta 0), and B2(ell, t) in between.
-    """
-
-    ell: int
-    t: int
-
-    def __post_init__(self):
-        if not (self.ell >= 1 and 0 <= self.t <= self.ell - 1):
-            raise ValueError(f"band cell ({self.ell},{self.t}) is out of range")
-
-    @property
-    def is_composite(self) -> bool:
-        return len(self.label) == 2
-
-    @property
-    def label(self) -> tuple[Indecomposable, ...]:
-        return arc_summands(self.ell, self.t) if self.t else (P1(self.ell),)
-
-
-def band_delta_hom(y: S2Object, z: S2Object, ell: int, t: int) -> int:
-    """Hom delta at a band cell; composite cells give 0."""
-    cell = BandCell(ell, t)
-    if cell.is_composite:
-        return 0
-    return delta_hom(y, z, cell.label[0])
-
-
-@dataclass(frozen=True)
 class MeshViolation:
     ell: int
     t: int
     label: Indecomposable
     mult_delta: int
     mesh_value: int
+
+
+def _band_label(ell: int, t: int) -> Indecomposable | None:
+    """The indecomposable at band cell (ell, t), 0 <= t <= ell - 1: P1(ell)
+    at t = 0, B2(ell, t) inside the band, and None at t = ell - 1, whose
+    label is the pair P2(ell) + P0(ell-1) with hom delta always 0."""
+    if t == 0:
+        return P1(ell)
+    return B2(ell, t) if t < ell - 1 else None
 
 
 def mesh_defect_report(y: S2Object, z: S2Object, n: int) -> list[MeshViolation]:
@@ -223,24 +203,29 @@ def mesh_defect_report(y: S2Object, z: S2Object, n: int) -> list[MeshViolation]:
             dh(ell, t) + dh(ell+1, t+1) - dh(ell+1, t) - dh(ell, t+1)
 
     where dh is the hom delta at the cell label and composite cells
-    contribute 0.  Returns the violated cells; an empty report is the
+    contribute 0.  Every other label is a member of ``test_set(beta,
+    n + 1)``, so all hom deltas are read from one ``delta_profile`` at
+    that cutoff.  Returns the violated cells; an empty report is the
     expected outcome for every same-type pair.  Requires n to be at
     least beta[0] + 3 so the window covers all nonzero deltas.
     """
     beta = require_same_type(y, z)
     if n < beta.max_part + 3:
         raise ValueError(f"window bound {n} is below the required {beta.max_part + 3}")
+    dh = dict(zip(test_set(beta, n + 1), delta_profile(y, z, n + 1)))
+    dh[None] = 0  # composite cells
+    mult = Counter(z.summands)
+    mult.subtract(y.summands)
     violations: list[MeshViolation] = []
     for ell in range(2, n):
         for t in range(0, ell - 1):
-            label = BandCell(ell, t).label[0]
-            lhs = delta_mult(y, z, label)
+            label = _band_label(ell, t)
             rhs = (
-                band_delta_hom(y, z, ell, t)
-                + band_delta_hom(y, z, ell + 1, t + 1)
-                - band_delta_hom(y, z, ell + 1, t)
-                - band_delta_hom(y, z, ell, t + 1)
+                dh[label]
+                + dh[_band_label(ell + 1, t + 1)]
+                - dh[_band_label(ell + 1, t)]
+                - dh[_band_label(ell, t + 1)]
             )
-            if lhs != rhs:
-                violations.append(MeshViolation(ell, t, label, lhs, rhs))
+            if mult[label] != rhs:
+                violations.append(MeshViolation(ell, t, label, mult[label], rhs))
     return violations

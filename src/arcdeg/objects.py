@@ -325,7 +325,7 @@ def diagram_of_object(obj: S2Object) -> ArcDiagram:
         paired = min(c2, p0_count.get(m - 1, 0))
         arcs.extend([(m, m - 1)] * paired)
         loops.extend([m] * (c2 - paired))
-    return ArcDiagram.of(arcs, poles, loops)
+    return ArcDiagram(tuple(arcs), tuple(poles), tuple(loops))
 
 
 def object_of_diagram(diagram: ArcDiagram, beta: Partition, gamma: Partition) -> S2Object:

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from arcdeg.errors import TypeMismatch
 from arcdeg.homcalc import (
-    BandCell,
+    MeshViolation,
     _hom_rows,
-    band_delta_hom,
     delta_hom,
     delta_mult,
     delta_profile,
@@ -24,7 +23,7 @@ from arcdeg.objects import B2, P0, P1, P2, S2Object, enumerate_objects, object_t
 from arcdeg.partitions import Partition
 from arcdeg.verify import random_same_type_pairs
 
-from conftest import DESCENT_Y, DESCENT_Z, run_python
+from conftest import DESCENT_Y, DESCENT_Z, ORDER_PATCH, ROOT, run_python
 
 
 def test_hom_indec_table_values():
@@ -138,34 +137,89 @@ def test_stabilization():
 
 
 def test_band_cells():
-    assert BandCell(5, 0).label == (P1(5),)
-    assert BandCell(5, 4).label == (P2(5), P0(4))
-    assert BandCell(5, 2).label == (B2(5, 2),)
-    assert BandCell(1, 0).label == (P1(1),)
-    with pytest.raises(ValueError):
-        BandCell(4, 4)
-    assert band_delta_hom(DESCENT_Y, DESCENT_Z, 6, 5) == 0  # composite cell
+    # cell (ell, t) is labelled P1(ell) at t = 0, B2(ell, t) inside the band
+    # and P2(ell) + P0(ell-1) at t = ell - 1; the mesh with window n reads
+    # cells up to ell = n, whose single labels are test-set members at n + 1
+    n = 10
+    members = set(hom_test_set(Partition.of(7), n + 1))
+    for ell in range(2, n + 1):
+        assert {P1(ell), *(B2(ell, t) for t in range(1, ell - 1))} <= members
+    # the composite cells carry hom delta 0
+    for y, z in ((DESCENT_Y, DESCENT_Z), (DESCENT_Z, DESCENT_Y)):
+        for ell in range(2, n + 1):
+            assert delta_hom(y, z, P2(ell)) + delta_hom(y, z, P0(ell - 1)) == 0
 
 
 def test_mesh_unit_move_cells():
     m, r = 5, 2
     smaller, larger = unit_pair(Move("E", (m, r)))
-    # at the cell of the vanished pole: +1
-    mesh = (
-        band_delta_hom(smaller, larger, m, 0)
-        + band_delta_hom(smaller, larger, m + 1, 1)
-        - band_delta_hom(smaller, larger, m + 1, 0)
-        - band_delta_hom(smaller, larger, m, 1)
-    )
+
+    def dh(x):
+        return delta_hom(smaller, larger, x)
+
+    # at the cell of the vanished pole: +1 (cell (m, 1) is B2(m, 1))
+    mesh = dh(P1(m)) + dh(B2(m + 1, 1)) - dh(P1(m + 1)) - dh(B2(m, 1))
     assert mesh == 1 == delta_mult(smaller, larger, P1(m))
     # at the cell of the created arc: -1
-    mesh = (
-        band_delta_hom(smaller, larger, m, r)
-        + band_delta_hom(smaller, larger, m + 1, r + 1)
-        - band_delta_hom(smaller, larger, m + 1, r)
-        - band_delta_hom(smaller, larger, m, r + 1)
-    )
+    mesh = dh(B2(m, r)) + dh(B2(m + 1, r + 1)) - dh(B2(m + 1, r)) - dh(B2(m, r + 1))
     assert mesh == -1 == delta_mult(smaller, larger, B2(m, r))
+
+
+def _mesh_reference(y, z, n):
+    """The mesh report computed cell by cell: one label per band cell,
+    each hom delta from ``delta_hom`` and each multiplicity delta from
+    ``delta_mult``; composite cells (t = ell - 1) give 0."""
+
+    def label(ell, t):
+        if t == 0:
+            return P1(ell)
+        return B2(ell, t) if t < ell - 1 else None
+
+    def dh(ell, t):
+        x = label(ell, t)
+        return 0 if x is None else delta_hom(y, z, x)
+
+    violations = []
+    for ell in range(2, n):
+        for t in range(ell - 1):
+            lhs = delta_mult(y, z, label(ell, t))
+            rhs = dh(ell, t) + dh(ell + 1, t + 1) - dh(ell + 1, t) - dh(ell, t + 1)
+            if lhs != rhs:
+                violations.append(MeshViolation(ell, t, label(ell, t), lhs, rhs))
+    return violations
+
+
+def test_mesh_defect_report_matches_the_per_cell_reference():
+    pairs = [*random_same_type_pairs(300, 9, seed=19), (S2Object(), S2Object())]
+    for y, z in pairs:
+        top = object_type(y)[0].max_part
+        for n in (top + 3, top + 4):
+            assert mesh_defect_report(y, z, n) == _mesh_reference(y, z, n) == []
+
+
+# Under the order fault the mesh fails at many cells; the one-vector report
+# and the per-cell reference must name the same cells with the same values.
+MESH_UNDER_ORDER_FAULT = ORDER_PATCH + """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_homcalc import _mesh_reference
+from arcdeg.homcalc import mesh_defect_report
+from arcdeg.objects import object_type
+from arcdeg.verify import random_same_type_pairs
+violations = 0
+for y, z in random_same_type_pairs(200, 8, seed=19):
+    n = object_type(y)[0].max_part + 3
+    report = mesh_defect_report(y, z, n)
+    assert report == _mesh_reference(y, z, n), (y, z)
+    violations += len(report)
+print(violations)
+"""
+
+
+def test_mesh_defect_report_matches_the_reference_under_an_order_fault():
+    proc = run_python("-c", MESH_UNDER_ORDER_FAULT, str(ROOT / "tests"))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
 
 
 def test_mesh_defect_report_empty_cases():
@@ -178,10 +232,10 @@ def test_mesh_defect_report_empty_cases():
 def test_mesh_defect_report_over_a_type():
     beta, gamma = Partition.of(4, 2, 1), Partition.of(3, 1)
     objs = enumerate_objects(beta, gamma)
-    n = beta.max_part + 4
     for y in objs:
         for z in objs:
-            assert mesh_defect_report(y, z, n) == []
+            for n in (beta.max_part + 3, beta.max_part + 4):
+                assert mesh_defect_report(y, z, n) == _mesh_reference(y, z, n) == []
 
 
 # Each query kind runs alone in a fresh interpreter whose hom_indec is

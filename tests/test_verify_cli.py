@@ -11,7 +11,7 @@ from arcdeg.objects import S2Object, alpha_of, diagram_of_object, enumerate_obje
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions, iter_types, mesh_check, region_check, subpartitions
 
-from conftest import DESCENT_Y, DESCENT_Z, run_python
+from conftest import DESCENT_Y, DESCENT_Z, ORDER_PATCH, run_python
 
 # Faults are injected in a fresh interpreter: patched in this process they
 # would leave wrong entries in the session-wide type-graph, closure and
@@ -58,15 +58,22 @@ homcalc.hom_indec = lambda x, y: table(x, y) + (x == P0(2) and y.kind == "B2")
 print(json.dumps(equivalence_sweep(6).failures.get("picket-delta-zero", [])))
 """
 
-# [P1(2), B2] one too large breaks the hom order itself, not only a picket
-ORDER_FAULT = """
+ORDER_FAULT = ORDER_PATCH + """
 import json
-from arcdeg import homcalc
-from arcdeg.objects import P1
 from arcdeg.verify import equivalence_sweep
-table = homcalc.hom_indec
-homcalc.hom_indec = lambda x, y: table(x, y) + (x == P1(2) and y.kind == "B2")
 print(json.dumps(equivalence_sweep(6).failures))
+"""
+
+ORDER_FAULT_MESH = ORDER_PATCH + """
+import json
+from arcdeg.verify import mesh_check
+print(json.dumps(mesh_check(100, 8, seed=20_26)))
+"""
+
+ORDER_FAULT_VERIFY = ORDER_PATCH + """
+import sys
+from arcdeg.cli import main
+sys.exit(main(["verify", "--beta-max", "6"]))
 """
 
 
@@ -373,6 +380,28 @@ def test_sweep_order_fault_report():
         "order-equivalence": 13,
     }
     assert failures["order-equivalence"][0] == "B(5,1) vs P1(5)+P1(1)"
+
+
+def test_mesh_check_order_fault_report():
+    # every other mesh test expects an empty report; this one pins a failing
+    # report, as recorded from the per-cell band walk
+    proc = run_python("-c", ORDER_FAULT_MESH)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "B(3,1)+P1(1)+P0(1)+P0(1) vs P1(3)+P1(1)+P1(1)+P0(1)+P0(1): MeshViolation(ell=2, t=0, "
+        "label=Indecomposable(kind='P1', m=2, r=0), mult_delta=0, mesh_value=-1)",
+        "P2(2)+P2(2)+P1(3)+P1(1) vs B(3,1)+P2(2)+P2(2): MeshViolation(ell=2, t=0, "
+        "label=Indecomposable(kind='P1', m=2, r=0), mult_delta=0, mesh_value=1)",
+        "P1(4)+P1(2)+P1(2) vs B(4,2)+P1(2): MeshViolation(ell=2, t=0, "
+        "label=Indecomposable(kind='P1', m=2, r=0), mult_delta=-1, mesh_value=0)",
+        "B(3,1)+P0(2)+P0(1) vs P1(3)+P1(1)+P0(2)+P0(1): MeshViolation(ell=2, t=0, "
+        "label=Indecomposable(kind='P1', m=2, r=0), mult_delta=0, mesh_value=-1)",
+        "P1(3)+P1(1)+P0(1) vs B(3,1)+P0(1): MeshViolation(ell=2, t=0, "
+        "label=Indecomposable(kind='P1', m=2, r=0), mult_delta=0, mesh_value=1)",
+    ]
+    proc = run_python("-c", ORDER_FAULT_VERIFY)
+    assert proc.returncode == 1, proc.stderr
+    assert "mesh identity on 100 random pairs: FAILED" in proc.stdout.splitlines()
 
 
 def test_sweep_tables_match_point_queries_up_to_weight_7():
