@@ -170,10 +170,10 @@ def delta_profile(y: S2Object, z: S2Object, bound: int | None = None) -> tuple[i
     return tuple(b - a for a, b in zip(_hom_profile(y, bound), _hom_profile(z, bound)))
 
 
-def hom_leq(y: S2Object, z: S2Object, bound: int | None = None) -> bool:
+def hom_leq(y: S2Object, z: S2Object) -> bool:
     """True when [x, y] <= [x, z] for every test object x."""
     # the zero object has an empty test set and is below itself
-    return min(delta_profile(y, z, bound), default=0) >= 0
+    return min(delta_profile(y, z), default=0) >= 0
 
 
 @dataclass(frozen=True)

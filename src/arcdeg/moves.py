@@ -18,10 +18,11 @@ of the moves is the arc order.  Moves act on the integer (arcs, poles)
 tuples of a diagram and never touch its loops.  A point query
 (``arc_leq``) searches the down-closure of one diagram with an explicit
 stack.  A whole type has one record (``TypeGraph``), built once from its
-objects: per object id, the diagram, crossings, pole count, successor
-ids, move count and the moves that leave the type.  It finds a move's
-result by an exact integer code of the diagram, the source's code plus
-the move's delta, so it builds no result.  The record's closure is one
+objects: per object id, the diagram, crossings, successor ids and move
+count, which exceeds the successor count by the moves that leave the
+type.  It finds a move's result by an exact integer code of the
+diagram, the source's code plus the move's delta, read off the pieces
+the move replaces, so it builds no result.  The record's closure is one
 bitset per object (``_reach_ids``), built in ascending (poles,
 crossings) order, which is topological since every move lowers that
 pair.  From the record come Hasse diagrams (single moves need not be
@@ -282,12 +283,8 @@ class TypeGraph(NamedTuple):
     nodes: tuple[S2Object, ...]
     diagrams: tuple[ArcDiagram, ...]
     crossings: tuple[int, ...]
-    poles: tuple[int, ...]
-    succ: tuple[tuple[int, ...], ...]  # sorted distinct ids of move results
-    moves: tuple[int, ...]  # down-moves, including those that leave the type
-    # (kind, points) of the moves, in down_moves order, whose result is
-    # not in nodes; all empty when nodes are a whole type
-    leaving: tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]
+    succ: tuple[tuple[int, ...], ...]  # sorted ids of move results
+    moves: tuple[int, ...]  # down-moves; moves[i] - len(succ[i]) leave nodes
 
 
 def _code(w: int, arcs, poles, loops=()) -> int:
@@ -305,9 +302,12 @@ def _code(w: int, arcs, poles, loops=()) -> int:
     return code
 
 
-# what each move adds to a code, per digit width and then per (kind,
-# points): one entry per (w, kind, points) seen
-_DELTAS: dict[int, dict[tuple[str, tuple[int, ...]], int]] = {}
+def _move_delta(w: int, kind: str, pts: tuple[int, ...]) -> int:
+    """What a move adds to the code of every diagram it applies to: the
+    code of the pieces it adds less the code of the pieces it removes."""
+    arcs_out, poles_out, arcs_in, poles_in = _MOVE_PIECES[kind]
+    added = _code(w, [(pts[i], pts[j]) for i, j in arcs_in], [pts[i] for i in poles_in])
+    return added - _code(w, [(pts[i], pts[j]) for i, j in arcs_out], [pts[i] for i in poles_out])
 
 
 def _type_table(nodes) -> TypeGraph:
@@ -315,27 +315,26 @@ def _type_table(nodes) -> TypeGraph:
     place that derives their diagrams, crossings and moves.  The codes'
     digits are as wide as the largest point count 2·arcs + poles + loops,
     which bounds every multiplicity and which no move changes, so every
-    code here, and every move result's, is exact."""
+    code here, and every move result's, is exact.  A move's removed and
+    added pieces are disjoint and fix its kind and points, so distinct
+    moves on one diagram give distinct results, and the moves that leave
+    the record number its move count less its successor count."""
     diagrams = tuple(diagram_of_object(o) for o in nodes)
     w = max((2 * len(a) + len(p) + len(q) for a, p, q in diagrams), default=0).bit_length()
     codes = [_code(w, *d) for d in diagrams]
     ids = {c: i for i, c in enumerate(codes)}
-    deltas = _DELTAS.setdefault(w, {})
-    succ, counts, leaving = [], [], []
+    deltas: dict[tuple[str, tuple[int, ...]], int] = {}
+    succ, counts = [], []
     for (arcs, poles, _), code in zip(diagrams, codes):
-        moves, targets = list(_move_candidates(arcs, poles)), []
-        for move in moves:
+        targets = []
+        for move in _move_candidates(arcs, poles):
             delta = deltas.get(move)
             if delta is None:
-                # a move adds the same to the code of every diagram it applies to
-                ((_, _, target),) = _apply_moves([move], arcs, poles)
-                delta = deltas[move] = _code(w, *target) - _code(w, arcs, poles)
+                delta = deltas[move] = _move_delta(w, *move)
             targets.append(ids.get(code + delta))
-        succ.append(tuple(sorted({j for j in targets if j is not None})))
-        counts.append(len(moves))
-        leaving.append(tuple(sorted(move for move, j in zip(moves, targets) if j is None)))
-    xs, poles = tuple(map(crossings, diagrams)), tuple(len(d.poles) for d in diagrams)
-    return TypeGraph(tuple(nodes), diagrams, xs, poles, tuple(succ), tuple(counts), tuple(leaving))
+        succ.append(tuple(sorted(j for j in targets if j is not None)))
+        counts.append(len(targets))
+    return TypeGraph(tuple(nodes), diagrams, tuple(map(crossings, diagrams)), tuple(succ), tuple(counts))
 
 
 @lru_cache(maxsize=16)
@@ -352,7 +351,7 @@ def _reach_ids(graph: TypeGraph) -> list[int]:
     per node: bit j of ``reach[i]`` is set iff node j lies below node i
     in the arc order."""
     # every move lowers (poles, crossings), so successors come first
-    rank = list(zip(graph.poles, graph.crossings))
+    rank = [(len(d.poles), x) for d, x in zip(graph.diagrams, graph.crossings)]
     reach = [0] * len(rank)
     for i in sorted(range(len(rank)), key=rank.__getitem__):
         bits = 1 << i

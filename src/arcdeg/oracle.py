@@ -119,16 +119,15 @@ def realize(obj: S2Object, p: int) -> RealizedObject:
     )
 
 
-def rank_mod_p(mat: SparseMatrix | Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p of a sparse matrix or of a dense list of rows.
+def rank_mod_p(mat: SparseMatrix, p: int) -> int:
+    """Rank over F_p of a sparse matrix.
 
     Each row becomes a dict of its nonzero entries mod p and is reduced,
     left to right, against the pivot rows found so far, one pivot per
     leading column."""
     _require_prime(p)
-    given = mat.rows if isinstance(mat, SparseMatrix) else (dict(enumerate(r)) for r in mat)
     pivots: dict[int, dict[int, int]] = {}
-    for entries in given:
+    for entries in mat.rows:
         row = {c: v % p for c, v in entries.items() if v % p}
         while row:
             lead = min(row)

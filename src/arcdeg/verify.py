@@ -21,7 +21,8 @@ one record (``moves.TypeGraph``) and is checked exhaustively:
   of the minimal-element count with the Littlewood-Richardson
   prediction whenever the skew type is a column strip.
 
-The moves, crossings, dimensions and extrema are read from the record.
+The moves, crossings, dimensions and extrema are read from the record,
+where a move count above the successor count means a move leaves the type.
 Both orders come from whole-type tables: the hom order from one hom
 matrix per test set (``homcalc._hom_rows``), where y <= z iff row y is
 entrywise at most row z, and the arc order from the bitset closure of
@@ -44,10 +45,10 @@ from .moves import (
     Move,
     TypeGraph,
     _extrema_ids,
-    _move_targets,
     _node_dims,
     _reach_ids,
     _type_table,
+    down_moves,
     region,
     unit_pair,
 )
@@ -172,16 +173,15 @@ def _check_type(report: SweepReport, beta: Partition, gamma: Partition, graph: T
         auts = aut_degree(alpha) + aut_degree(beta)
         if _orbit_dim(alpha, beta, gamma, graph.crossings[i]) != auts - hom_obj(obj, obj):
             report.fail("dimension-identity", obj.to_text())
-        for kind, pts in graph.leaving[i]:
-            report.fail("move-type", f"{Move(kind, pts)} leaves the type from {obj.to_text()}")
-        if any(dims[j][1] <= dim for j in graph.succ[i]):
-            # name each move to a failing result, in down_moves order
+        if graph.moves[i] != len(graph.succ[i]) or any(dims[j][1] <= dim for j in graph.succ[i]):
+            # name each failing move, in down_moves order
             ids = dict(zip(graph.diagrams, range(len(objects))))
-            for kind, pts, (arcs, poles) in sorted(_move_targets(d.arcs, d.poles)):
-                j = ids.get((arcs, poles, d.loops))
-                if j is not None and dims[j][1] <= dim:
-                    message = f"{Move(kind, pts)} from {obj.to_text()} ({dim} -> {dims[j][1]})"
-                    report.fail("dimension-monotonicity", message)
+            for move, result in down_moves(d):
+                j = ids.get(result)
+                if j is None:
+                    report.fail("move-type", f"{move} leaves the type from {obj.to_text()}")
+                elif dims[j][1] <= dim:
+                    report.fail("dimension-monotonicity", f"{move} from {obj.to_text()} ({dim} -> {dims[j][1]})")
     # y <= z in the hom order iff row y <= row z entrywise, and in the
     # arc order iff bit y is set in the closure of z
     rows = _hom_rows(test_set(beta), objects)

@@ -1,11 +1,16 @@
-"""Every name that a library module imports is used in that module.
+"""Every name that a library module imports is used in that module, and
+every private name that a library module defines is read in the library.
 
-The check reads the source with ``ast``: a name counts as used when it
-appears as a name anywhere in the module, annotations included.  The
-package ``__init__.py`` re-exports names and is left out.
+The checks read the source with ``ast``.  An import counts as used when
+its name appears as a name anywhere in the module, annotations included;
+the package ``__init__.py`` re-exports names and is left out.  A
+module-level private name (``_x``) counts as read when it is loaded as a
+name, or as an attribute of a module, in any library module outside its
+own definition.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arcdeg"
@@ -33,3 +38,56 @@ def test_library_modules_use_every_import():
 def test_unused_import_check_sees_names_and_attributes():
     source = "import re\nfrom . import geometry\nfrom .moves import down_moves, extrema as ex\nex(geometry.f)\n"
     assert unused_imports(source) == ["re", "down_moves"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(index of the top-level statement, name) of each module-level
+    private name the module binds."""
+    for k, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((k, name) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _reads(tree: ast.Module):
+    """(index of the top-level statement, name) of each name the module
+    loads, or reads as an attribute."""
+    for k, node in enumerate(tree.body):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield k, sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield k, sub.attr
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    readers = defaultdict(set)  # name -> (module, statement index) of each read
+    for module, tree in trees.items():
+        for k, name in _reads(tree):
+            readers[name].add((module, k))
+    return [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for k, name in _private_definitions(tree)
+        if not readers[name] - {(module, k)}
+    ]
+
+
+def test_library_reads_every_private_name():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) >= 10
+    assert unread_private_names(sources) == []
+
+
+def test_private_name_check_skips_the_definition_itself():
+    sources = {
+        "a.py": "_T = {}\n_U = 1\ndef _f(n):\n    return _f(n - 1) + _U\n",
+        "b.py": "from . import a\nx = a._U\n",
+    }
+    assert unread_private_names(sources) == ["a.py:_T", "a.py:_f"]

@@ -1,12 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcdeg.errors import MoveNotApplicable, TypeMismatch
 from arcdeg.homcalc import delta_hom, hom_obj, test_set as hom_test_set
 from arcdeg.moves import (
     Move,
+    _code,
     _down_closure,
+    _move_delta,
     _reach_ids,
     _type_graph,
     _type_table,
@@ -199,6 +201,29 @@ def test_moves_decrease_poles_then_crossings(move, context):
     assert (len(after.poles), crossings(after)) < (len(before.poles), crossings(before))
 
 
+# small points, so that arcs and poles often repeat
+_diagrams = st.builds(
+    ArcDiagram,
+    st.lists(st.sampled_from([(m, r) for m in range(2, 7) for r in range(1, m)]), max_size=6).map(tuple),
+    st.lists(st.integers(1, 6), max_size=6).map(tuple),
+    st.lists(st.integers(2, 6), max_size=2).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diagrams)
+@example(ArcDiagram(((5, 2), (5, 2), (4, 1), (4, 1)), (3, 3, 2, 2), (4,)))
+def test_down_moves_give_distinct_results_at_their_code_deltas(d):
+    # the type record finds each result at the source's code plus the
+    # move's delta, and counts the moves that leave it as its moves less
+    # its successors, which needs distinct results
+    found = down_moves(d)
+    assert len({nxt for _, nxt in found}) == len(found)
+    w = (2 * len(d.arcs) + len(d.poles) + len(d.loops)).bit_length()
+    for move, nxt in found:
+        assert _move_delta(w, move.kind, move.points) == _code(w, *nxt) - _code(w, *d)
+
+
 def test_arc_leq_examples():
     assert arc_leq(DESCENT_Y, DESCENT_Z)
     assert not arc_leq(DESCENT_Z, DESCENT_Y)
@@ -346,40 +371,42 @@ def test_type_graph_columns_match_point_functions_up_to_weight_8():
     for beta, gamma in iter_types(8):
         graph = _type_graph(beta, gamma)
         assert list(graph.nodes) == enumerate_objects(beta, gamma)
-        columns = (graph.diagrams, graph.crossings, graph.poles, graph.succ, graph.moves)
+        columns = (graph.diagrams, graph.crossings, graph.succ, graph.moves)
         assert {len(column) for column in columns} <= {len(graph.nodes)}
-        for o, key, x, poles, count in zip(graph.nodes, graph.diagrams, graph.crossings, graph.poles, graph.moves):
+        for o, key, x, count in zip(graph.nodes, graph.diagrams, graph.crossings, graph.moves):
             d = diagram_of_object(o)
             assert key == (d.arcs, d.poles, d.loops)
             assert x == crossings(d)
-            assert poles == len(d.poles)
             assert count == len(down_moves(d))
         # an enumerated type is closed under the moves
-        assert graph.leaving == ((),) * len(graph.nodes)
+        assert graph.moves == tuple(map(len, graph.succ))
 
 
 def _record_from_down_moves(nodes):
-    """(succ, moves, leaving) of a record of these objects, from the
-    point path: each node's down_moves results looked up as diagrams."""
+    """(succ, moves) of a record of these objects, from the point path:
+    each node's down_moves results looked up as diagrams."""
     ids = {diagram_of_object(o): i for i, o in enumerate(nodes)}
-    succ, moves, leaving = [], [], []
+    succ, moves = [], []
     for o in nodes:
         found = down_moves(diagram_of_object(o))
         succ.append(tuple(sorted({ids[nxt] for _, nxt in found if nxt in ids})))
         moves.append(len(found))
-        leaving.append(tuple((mv.kind, mv.points) for mv, nxt in found if nxt not in ids))
-    return tuple(succ), tuple(moves), tuple(leaving)
+    return tuple(succ), tuple(moves)
 
 
 def test_type_table_records_the_moves_that_leave_its_objects():
-    # a record of part of a type lists, per node and in down_moves order,
-    # exactly the moves to the objects left out: here every other object,
-    # then each object alone, so that all its moves leave
+    # a record of part of a type counts, per node, the moves to the
+    # objects left out as its moves less its successors: here every other
+    # object, then each object alone, so that all its moves leave
     for beta, gamma in iter_types(7):
         nodes = enumerate_objects(beta, gamma)
         for kept in [nodes[::2]] + [[o] for o in nodes]:
             graph = _type_table(kept)
-            assert (graph.succ, graph.moves, graph.leaving) == _record_from_down_moves(kept)
+            assert (graph.succ, graph.moves) == _record_from_down_moves(kept)
+            kept_diagrams = set(graph.diagrams)
+            for o, count, targets in zip(kept, graph.moves, graph.succ):
+                found = down_moves(diagram_of_object(o))
+                assert count - len(targets) == sum(nxt not in kept_diagrams for _, nxt in found)
 
 
 def test_type_table_codes_are_exact_at_the_width_boundary():
@@ -394,14 +421,14 @@ def test_type_table_codes_are_exact_at_the_width_boundary():
     assert ArcDiagram(((3, 2),), (2, 2, 2)) in map(diagram_of_object, nearby)
     for nodes in (boundary, nearby, boundary + nearby, nearby + boundary):
         graph = _type_table(nodes)
-        assert (graph.succ, graph.moves, graph.leaving) == _record_from_down_moves(nodes)
+        assert (graph.succ, graph.moves) == _record_from_down_moves(nodes)
 
 
 def test_type_graph_matches_down_moves_on_staircase_9():
     beta, gamma = Partition.of(9, 8, 7, 6, 5, 4, 3, 2, 1), Partition.of(8, 7, 6, 5, 4, 3, 2, 1)
     graph = _type_graph(beta, gamma)
     assert len(graph.nodes) == 2620
-    assert (graph.succ, graph.moves, graph.leaving) == _record_from_down_moves(graph.nodes)
+    assert (graph.succ, graph.moves) == _record_from_down_moves(graph.nodes)
 
 
 def test_hasse_matches_reference_up_to_weight_8():

@@ -76,12 +76,17 @@ def test_realizations_intertwine_and_embed():
             assert rank_mod_p(r.embedding, p) == r.sub_dim
 
 
+def sparse(mat: list[list[int]], cols: int) -> SparseMatrix:
+    """The sparse form of dense rows of ``cols`` entries each."""
+    return SparseMatrix(tuple({c: v for c, v in enumerate(row) if v} for row in mat), cols)
+
+
 def test_rank_mod_p_cases():
     # determinant -5: singular mod 5, invertible mod 3
-    assert rank_mod_p([[1, 2], [3, 1]], 5) == 1
-    assert rank_mod_p([[1, 2], [3, 1]], 3) == 2
-    assert rank_mod_p([[0, 0], [0, 0], [0, 0]], 7) == 0
-    assert rank_mod_p([[int(i == j) for j in range(4)] for i in range(4)], 2) == 4
+    assert rank_mod_p(sparse([[1, 2], [3, 1]], 2), 5) == 1
+    assert rank_mod_p(sparse([[1, 2], [3, 1]], 2), 3) == 2
+    assert rank_mod_p(sparse([[0, 0], [0, 0], [0, 0]], 2), 7) == 0
+    assert rank_mod_p(sparse([[int(i == j) for j in range(4)] for i in range(4)], 4), 2) == 4
 
 
 def test_oracle_pinned_values():
@@ -140,7 +145,7 @@ def test_realize_rejects_bad_prime():
         with pytest.raises(ValueError):
             realize(x, p)
     with pytest.raises(ValueError):
-        rank_mod_p([[1, 0], [0, 1]], 4)
+        rank_mod_p(sparse([[1, 0], [0, 1]], 2), 4)
     # a prime past the int64 range of products: Python ints do not overflow
     assert oracle_hom_dim(DESCENT_Y, DESCENT_Z, 4_000_000_007) == hom_obj(DESCENT_Y, DESCENT_Z) == 131
 
@@ -193,6 +198,6 @@ def matrices(draw):
 @given(matrices(), st.sampled_from((2, 3, 101, 10007)))
 def test_sparse_rank_matches_dense_reference(shaped, p):
     cols, mat = shaped
-    sparse = SparseMatrix(tuple({c: v for c, v in enumerate(row) if v} for row in mat), cols)
-    assert sparse.tolist() == mat
-    assert rank_mod_p(mat, p) == rank_mod_p(sparse, p) == dense_rank_mod_p(mat, p)
+    matrix = sparse(mat, cols)
+    assert matrix.tolist() == mat
+    assert rank_mod_p(matrix, p) == dense_rank_mod_p(mat, p)
