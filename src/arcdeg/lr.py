@@ -38,37 +38,36 @@ def lr_coefficient(alpha: Partition, gamma: Partition, beta: Partition) -> int:
     for i, b in enumerate(beta.parts):
         g = gamma.part_at(i)
         cells.extend((i, j) for j in range(b - 1, g - 1, -1))
-    if not cells:
-        return 1
     k = len(alpha.parts)
     fill: dict[tuple[int, int], int] = {}
     counts = [0] * (k + 1)
-
-    def backtrack(pos: int) -> int:
+    # depth-first over the cells without recursion, so the depth is not
+    # bounded by the interpreter's stack: fill holds the values of the
+    # cells before pos, and v is the next value to try at cells[pos]
+    total, pos, v = 0, 0, 1
+    while True:
         if pos == len(cells):
-            return 1
-        i, j = cells[pos]
-        total = 0
-        for v in range(1, k + 1):
-            if counts[v] + 1 > alpha.parts[v - 1]:
+            total += 1
+        else:
+            i, j = cells[pos]
+            # columns increase strictly downward, rows weakly left to right;
+            # a neighbour in gamma or outside beta is not in fill
+            v = max(v, fill.get((i - 1, j), 0) + 1)
+            high = fill.get((i, j + 1), k)
+            # the content stays within alpha and the reading word a lattice word
+            while v <= high and (counts[v] >= alpha.parts[v - 1] or (v > 1 and counts[v] >= counts[v - 1])):
+                v += 1
+            if v <= high:
+                fill[cells[pos]] = v
+                counts[v] += 1
+                pos, v = pos + 1, 1
                 continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue  # reading word would stop being a lattice word
-            right = fill.get((i, j + 1))
-            if right is not None and v > right:
-                continue  # rows increase weakly left to right
-            if i > 0 and j >= gamma.part_at(i - 1):
-                above = fill.get((i - 1, j))
-                if above is not None and v <= above:
-                    continue  # columns increase strictly downward
-            fill[(i, j)] = v
-            counts[v] += 1
-            total += backtrack(pos + 1)
-            counts[v] -= 1
-            del fill[(i, j)]
-        return total
-
-    return backtrack(0)
+        if pos == 0:
+            return total
+        pos -= 1
+        v = fill.pop(cells[pos])
+        counts[v] -= 1
+        v += 1
 
 
 def minimal_count_prediction(beta: Partition, gamma: Partition) -> int | None:

@@ -24,6 +24,8 @@ and hashes equal to its plain tuple, ``(kind, m, r)`` or ``(arcs,
 poles, loops)``, so it is its own key in every table.  The constructor
 checks the fields and sorts a diagram's groups; the inherited ``_make``
 and ``_replace`` skip both, and the library does not call them.
+Objects are parsed from and printed as ``+``-joined text; diagrams are
+only printed, since no command reads one.
 
 An object's (ambient, quotient) type is derived once, by the first
 ``object_type`` call, and kept on the object in a field that takes no
@@ -228,35 +230,6 @@ class ArcDiagram(namedtuple("ArcDiagram", "arcs poles loops")):
     @classmethod
     def of(cls, arcs=(), poles=(), loops=()) -> "ArcDiagram":
         return cls(tuple(tuple(a) for a in arcs), tuple(poles), tuple(loops))
-
-    @classmethod
-    def from_text(cls, text: str) -> "ArcDiagram":
-        """Parse the grouped text form ``"arcs:5-3,4-2; poles:3,1; loops:5"``.
-
-        Groups may come in any order and may be empty or missing.
-        """
-        arcs: list[tuple[int, int]] = []
-        poles: list[int] = []
-        loops: list[int] = []
-        for group in text.split(";"):
-            group = group.strip()
-            if not group:
-                continue
-            name, _, body = group.partition(":")
-            name = name.strip().lower()
-            body = body.strip()
-            items = [tok.strip() for tok in body.split(",") if tok.strip()] if body else []
-            if name == "arcs":
-                for tok in items:
-                    m, r = tok.split("-")
-                    arcs.append((int(m), int(r)))
-            elif name == "poles":
-                poles.extend(int(tok) for tok in items)
-            elif name == "loops":
-                loops.extend(int(tok) for tok in items)
-            else:
-                raise ValueError(f"unknown diagram group {name!r}")
-        return cls.of(arcs, poles, loops)
 
     def to_text(self) -> str:
         arcs = ",".join(f"{m}-{r}" for m, r in self.arcs)

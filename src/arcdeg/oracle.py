@@ -30,10 +30,6 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.rows), self.ncols
 
-    def tolist(self) -> list[list[int]]:
-        """The dense form, as a list of rows."""
-        return [[row.get(c, 0) for c in range(self.ncols)] for row in self.rows]
-
 
 def _jordan_nilpotent(parts: Sequence[int]) -> SparseMatrix:
     """Block-diagonal nilpotent matrix with one lower-shift block per part."""

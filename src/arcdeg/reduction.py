@@ -12,8 +12,10 @@ A candidate move is admissible for the pair (y, z) when
 
 Applying an admissible move subtracts exactly 1 from the hom delta on
 the region and leaves it unchanged elsewhere, so the new pair is again
-in hom order and the process terminates: every move strictly decreases
-(pole count, crossing count) lexicographically.
+in hom order.  The process terminates because every move strictly
+decreases (pole count, crossing count) lexicographically, and a type
+has finitely many diagrams.  The chain checks that strict drop at every
+step, so a move that fails to make progress is reported at once.
 
 The search tries the applicable moves of the diagram of z in canonical
 order and returns the first admissible one; (P1) and (P2) are checked
@@ -25,7 +27,7 @@ from __future__ import annotations
 from .errors import InternalInvariantViolation, NoDescentMove, NotComparable
 from .homcalc import delta_profile, hom_leq, test_set
 from .moves import Move, apply_down, down_moves, region, ses_witness
-from .objects import S2Object, diagram_of_object, object_of_diagram, object_type
+from .objects import S2Object, crossings, diagram_of_object, object_of_diagram, object_type
 
 
 def _admissible(y: S2Object, z: S2Object, move: Move, members, deltas) -> bool:
@@ -39,8 +41,10 @@ def _admissible(y: S2Object, z: S2Object, move: Move, members, deltas) -> bool:
 
 
 def find_descent_move(y: S2Object, z: S2Object) -> Move:
-    """The first move, in canonical order, applicable to the diagram of z
-    whose result z' still satisfies hom_leq(y, z'); raises
+    """The first admissible move, in canonical order, applicable to the
+    diagram of z: (P1) and (P2) hold for it, so its result z' satisfies
+    hom_leq(y, z').  An earlier move whose result is also above y is
+    passed over when it is not admissible.  Raises
     :class:`NoDescentMove` when y and z are isomorphic and
     :class:`NotComparable` when y is not below z."""
     deltas = delta_profile(y, z)
@@ -55,42 +59,29 @@ def find_descent_move(y: S2Object, z: S2Object) -> Move:
     raise InternalInvariantViolation(f"no admissible move for {y.to_text()} <= {z.to_text()}")
 
 
-def _chain_budget(z: S2Object) -> int:
-    """Generous upper bound on chain length.
-
-    Every move strictly decreases (pole count, crossing count)
-    lexicographically, pole fusions come in steps of two, and crossings
-    never exceed the pairwise budget of the at most arcs + poles // 2
-    arcs a descendant diagram can carry.
-    """
-    d = diagram_of_object(z)
-    poles = len(d.poles)
-    arc_cap = len(d.arcs) + poles // 2
-    cross_cap = arc_cap * (arc_cap + poles) + 1
-    return (poles // 2 + 1) * cross_cap + poles
-
-
 def reduction_steps(y: S2Object, z: S2Object) -> list[tuple[Move, S2Object]]:
     """The moves carrying the diagram of z down to the diagram of y,
     each with the object it leads to; empty exactly when the objects are
     isomorphic.  Every intermediate object stays above y in the hom
-    order, and the last one is y."""
+    order, and the last one is y.  Raises
+    :class:`InternalInvariantViolation` at the first move that does not
+    strictly lower (pole count, crossing count)."""
     beta, gamma = object_type(y)
     if not hom_leq(y, z):
         raise NotComparable("y is not below z in the hom order")
     steps: list[tuple[Move, S2Object]] = []
-    current = z
-    limit = _chain_budget(z)
+    current, diagram = z, diagram_of_object(z)
+    rank = (len(diagram.poles), crossings(diagram))
     while current != y:
-        if len(steps) > limit:
-            raise InternalInvariantViolation("descent failed to terminate")
         move = find_descent_move(y, current)
-        nxt_diagram = apply_down(diagram_of_object(current), move)
-        nxt = object_of_diagram(nxt_diagram, beta, gamma)
-        if not hom_leq(y, nxt):
+        diagram = apply_down(diagram, move)
+        nxt_rank = (len(diagram.poles), crossings(diagram))
+        if nxt_rank >= rank:
+            raise InternalInvariantViolation(f"move {move} does not lower (poles, crossings) from {rank}")
+        current, rank = object_of_diagram(diagram, beta, gamma), nxt_rank
+        if not hom_leq(y, current):
             raise InternalInvariantViolation(f"move {move} broke hom monotonicity")
-        steps.append((move, nxt))
-        current = nxt
+        steps.append((move, current))
     return steps
 
 

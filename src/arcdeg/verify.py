@@ -93,15 +93,6 @@ def subpartitions(beta: Partition) -> list[Partition]:
     return out
 
 
-def iter_types(max_weight: int):
-    """All (beta, gamma) with 1 <= |beta| <= max_weight and gamma inside beta."""
-    for beta in all_partitions(max_weight):
-        if not beta.parts:
-            continue
-        for gamma in subpartitions(beta):
-            yield beta, gamma
-
-
 @dataclass
 class SweepReport:
     max_weight: int

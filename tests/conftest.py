@@ -26,6 +26,15 @@ homcalc.hom_indec = lambda x, y: table(x, y) + (x == P1(2) and y.kind == "B2")
 """
 
 
+def iter_types(max_weight: int):
+    """All (beta, gamma) with 1 <= |beta| <= max_weight and gamma inside beta."""
+    from arcdeg.verify import all_partitions, subpartitions
+
+    for beta in all_partitions(max_weight):
+        if beta.parts:
+            yield from ((beta, gamma) for gamma in subpartitions(beta))
+
+
 @pytest.fixture(scope="session")
 def descent_pair():
     return DESCENT_Y, DESCENT_Z

@@ -6,14 +6,17 @@ its name appears as a name anywhere in the module, annotations included;
 the package ``__init__.py`` re-exports names and is left out.  A
 module-level private name (``_x``) counts as read when it is loaded as a
 name, or as an attribute of a module, in any library module outside its
-own definition.
+own definition.  A module-level public function or class that the
+package does not re-export counts as called when the library reads it
+the same way, or a demo or a file under ``bench/`` reads it.
 """
 
 import ast
 from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "arcdeg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "arcdeg"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -65,12 +68,18 @@ def _reads(tree: ast.Module):
                 yield k, sub.attr
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    readers = defaultdict(set)  # name -> (module, statement index) of each read
+def _readers(trees: dict[str, ast.Module]):
+    """name -> (module, statement index) of each read in the modules."""
+    readers = defaultdict(set)
     for module, tree in trees.items():
         for k, name in _reads(tree):
             readers[name].add((module, k))
+    return readers
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    readers = _readers(trees)
     return [
         f"{module}:{name}"
         for module, tree in trees.items()
@@ -91,3 +100,46 @@ def test_private_name_check_skips_the_definition_itself():
         "b.py": "from . import a\nx = a._U\n",
     }
     assert unread_private_names(sources) == ["a.py:_T", "a.py:_f"]
+
+
+def uncalled_public_names(library: dict[str, str], callers: list[str]) -> list[str]:
+    """module:name of each public module-level function or class that
+    the package's ``__init__.py`` does not re-export, that no library
+    module reads outside its own definition and that none of the caller
+    sources reads."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    readers = _readers(trees)
+    outside = {name for source in callers for _, name in _reads(ast.parse(source))}
+    return [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for k, node in enumerate(tree.body)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exported | outside
+        and not readers[node.name] - {(module, k)}
+    ]
+
+
+def test_every_public_name_has_a_caller():
+    library = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    callers = [path.read_text(encoding="utf-8") for path in sorted(ROOT.glob("demos/*.py"))]
+    callers += [path.read_text(encoding="utf-8") for path in sorted(ROOT.glob("bench/**/*.py"))]
+    assert len(library) >= 10 and len(callers) >= 5
+    assert uncalled_public_names(library, callers) == []
+
+
+def test_public_name_check_counts_other_modules_and_callers():
+    library = {
+        "__init__.py": "from .a import shown\n",
+        "a.py": "def shown(): pass\ndef helper(): pass\ndef lonely(): return lonely()\ndef benched(): pass\n",
+        "b.py": "from . import a\nclass Unread: pass\nclass Read: pass\nx = a.helper(), Read()\n",
+    }
+    callers = ["import arcdeg.a\narcdeg.a.benched()\n"]
+    assert uncalled_public_names(library, callers) == ["a.py:lonely", "b.py:Unread"]

@@ -2,9 +2,13 @@ from itertools import product
 
 import pytest
 
+from arcdeg.cli import main
 from arcdeg.errors import TypeMismatch
 from arcdeg.lr import alpha_for_type, lr_coefficient, minimal_count_prediction
 from arcdeg.partitions import Partition
+from arcdeg.verify import all_partitions
+
+from conftest import iter_types
 
 
 def brute_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
@@ -124,7 +128,6 @@ def test_minimal_count_prediction_checks_containment_once(monkeypatch):
 
 def test_prediction_matches_poset_minima_on_column_strips():
     from arcdeg.moves import extrema
-    from arcdeg.verify import iter_types
     from arcdeg.partitions import is_column_strip
     from arcdeg.objects import enumerate_objects
 
@@ -138,3 +141,56 @@ def test_prediction_matches_poset_minima_on_column_strips():
         assert minimal_count_prediction(beta, gamma) == len(minimal), (beta, gamma)
         checked += 1
     assert checked > 50
+
+
+def recursive_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
+    """Reference: the same fill order as lr_coefficient, with one
+    recursive call per skew cell."""
+    if not beta.contains(gamma) or beta.weight() != gamma.weight() + alpha.weight():
+        return 0
+    cells = [(i, j) for i, b in enumerate(beta.parts) for j in range(b - 1, gamma.part_at(i) - 1, -1)]
+    k = len(alpha.parts)
+    fill: dict[tuple[int, int], int] = {}
+    counts = [0] * (k + 1)
+
+    def backtrack(pos: int) -> int:
+        if pos == len(cells):
+            return 1
+        i, j = cells[pos]
+        total = 0
+        for v in range(1, k + 1):
+            if counts[v] + 1 > alpha.parts[v - 1]:
+                continue
+            if v > 1 and counts[v] + 1 > counts[v - 1]:
+                continue
+            right = fill.get((i, j + 1))
+            if right is not None and v > right:
+                continue
+            if i > 0 and j >= gamma.part_at(i - 1):
+                above = fill.get((i - 1, j))
+                if above is not None and v <= above:
+                    continue
+            fill[(i, j)] = v
+            counts[v] += 1
+            total += backtrack(pos + 1)
+            counts[v] -= 1
+            del fill[(i, j)]
+        return total
+
+    return backtrack(0)
+
+
+def test_lr_matches_recursive_reference_up_to_weight_8():
+    checked = 0
+    for beta, gamma in iter_types(8):
+        for alpha in all_partitions(beta.weight() - gamma.weight()):
+            if alpha.weight() == beta.weight() - gamma.weight():
+                assert lr_coefficient(alpha, gamma, beta) == recursive_lr(alpha, gamma, beta), (alpha, gamma, beta)
+                checked += 1
+    assert checked > 1000
+
+
+def test_cli_lr_on_a_long_row_needs_no_recursion(capsys):
+    # one skew cell per unit of weight, beyond the interpreter's default recursion limit
+    assert main(["lr", "--alpha", "1200", "--gamma", "", "--beta", "1200"]) == 0
+    assert capsys.readouterr().out == "1\n"

@@ -36,9 +36,8 @@ from arcdeg.objects import (
     object_type,
 )
 from arcdeg.partitions import Partition
-from arcdeg.verify import iter_types
 
-from conftest import DESCENT_Y, DESCENT_Z
+from conftest import DESCENT_Y, DESCENT_Z, iter_types
 
 
 def moves_strategy():

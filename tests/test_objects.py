@@ -19,7 +19,9 @@ from arcdeg.objects import (
     object_type,
 )
 from arcdeg.partitions import Partition
-from arcdeg.verify import all_partitions, iter_types, subpartitions
+from arcdeg.verify import all_partitions, subpartitions
+
+from conftest import iter_types
 
 # the running classification example: every summand kind at once
 MIXED = S2Object.of(B2(5, 3), B2(4, 2), P2(5), P0(2), P2(3), P1(3), P0(1), P1(1))
@@ -236,11 +238,9 @@ def test_text_round_trips():
     assert S2Object.from_text(text) == MIXED
     assert S2Object.from_text("B2(5,3)") == S2Object.from_text("B(5,3)")
     assert S2Object.from_text("") == S2Object()
-
-    d = diagram_of_object(MIXED)
-    assert ArcDiagram.from_text(d.to_text()) == d
-    assert ArcDiagram.from_text("arcs:; poles:; loops:") == ArcDiagram()
-    assert ArcDiagram.from_text("poles:2; arcs:7-3") == ArcDiagram.of([(7, 3)], [2], [])
+    # diagrams are printed, never parsed
+    assert diagram_of_object(MIXED).to_text() == "arcs:5-3,4-2,3-2; poles:3,1; loops:5"
+    assert ArcDiagram().to_text() == "arcs:; poles:; loops:"
     with pytest.raises(ValueError):
         S2Object.from_text("Q(3)")
 

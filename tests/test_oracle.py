@@ -5,9 +5,13 @@ from hypothesis import strategies as st
 from arcdeg.homcalc import hom_obj
 from arcdeg.objects import B2, P0, P1, P2, S2Object, enumerate_objects
 from arcdeg.oracle import SparseMatrix, oracle_hom_dim, rank_mod_p, realize
-from arcdeg.verify import iter_types
 
-from conftest import DESCENT_Y, DESCENT_Z, run_python
+from conftest import DESCENT_Y, DESCENT_Z, iter_types, run_python
+
+
+def dense(matrix: SparseMatrix) -> list[list[int]]:
+    """The dense form of a sparse matrix, as a list of rows."""
+    return [[row.get(c, 0) for c in range(matrix.ncols)] for row in matrix.rows]
 
 
 def dense_rank_mod_p(mat: list[list[int]], p: int) -> int:
@@ -42,9 +46,9 @@ def matmul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]
 
 def test_realize_small_picket():
     r = realize(S2Object.of(P1(2)), 5)
-    assert r.amb_op.tolist() == [[0, 0], [1, 0]]
-    assert r.sub_op.tolist() == [[0]]
-    assert r.embedding.tolist() == [[0], [1]]
+    assert dense(r.amb_op) == [[0, 0], [1, 0]]
+    assert dense(r.sub_op) == [[0]]
+    assert dense(r.embedding) == [[0], [1]]
 
 
 def test_realize_zero_subspace():
@@ -55,7 +59,7 @@ def test_realize_zero_subspace():
 
 def test_realize_bipicket_embedding():
     r = realize(S2Object.of(B2(3, 1)), 7)
-    columns = [list(col) for col in zip(*r.embedding.tolist())]
+    columns = [list(col) for col in zip(*dense(r.embedding))]
     # generator lands on (first block shifted once, second block generator)
     assert columns[0] == [0, 1, 0, 1]
     assert columns[1] == [0, 0, 1, 0]
@@ -69,9 +73,9 @@ def test_realizations_intertwine_and_embed():
     ]:
         for p in (2, 101):
             r = realize(obj, p)
-            emb = r.embedding.tolist()
-            lhs = matmul_mod(r.amb_op.tolist(), emb, p)
-            rhs = matmul_mod(emb, r.sub_op.tolist(), p)
+            emb = dense(r.embedding)
+            lhs = matmul_mod(dense(r.amb_op), emb, p)
+            rhs = matmul_mod(emb, dense(r.sub_op), p)
             assert lhs == rhs
             assert rank_mod_p(r.embedding, p) == r.sub_dim
 
@@ -199,5 +203,5 @@ def matrices(draw):
 def test_sparse_rank_matches_dense_reference(shaped, p):
     cols, mat = shaped
     matrix = sparse(mat, cols)
-    assert matrix.tolist() == mat
+    assert dense(matrix) == mat
     assert rank_mod_p(matrix, p) == dense_rank_mod_p(mat, p)

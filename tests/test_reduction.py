@@ -1,8 +1,9 @@
 import pytest
 
-from arcdeg.errors import NoDescentMove, NotComparable, TypeMismatch
+import arcdeg.reduction
+from arcdeg.errors import InternalInvariantViolation, NoDescentMove, NotComparable, TypeMismatch
 from arcdeg.homcalc import delta_hom, hom_leq, test_set as hom_test_set
-from arcdeg.moves import Move, apply_down, region
+from arcdeg.moves import Move, apply_down, down_moves, region
 from arcdeg.objects import (
     B2,
     P0,
@@ -15,7 +16,7 @@ from arcdeg.objects import (
     object_type,
 )
 from arcdeg.partitions import Partition
-from arcdeg.reduction import find_descent_move, reduction_chain
+from arcdeg.reduction import find_descent_move, reduction_chain, reduction_steps
 
 from conftest import DESCENT_Y, DESCENT_Z
 
@@ -37,6 +38,19 @@ def test_find_descent_move_pinned_first_step():
 def test_find_descent_move_pinned_late_step():
     z3 = S2Object.of(B2(7, 1), B2(6, 2), B2(5, 3), P1(4))
     assert find_descent_move(DESCENT_Y, z3) == Move("B", (5, 4, 3))
+
+
+def test_find_descent_move_passes_over_an_earlier_move_that_is_not_admissible():
+    # E(5,1) comes first in canonical order and its result stays above y,
+    # but E(5,2) is the first move that passes (P1) and (P2)
+    y = S2Object.of(B2(5, 2), P1(1))
+    z = S2Object.of(P1(5), P1(2), P1(1))
+    beta, gamma = object_type(z)
+    moves = [move for move, _ in down_moves(diagram_of_object(z))]
+    assert moves.index(Move("E", (5, 1))) < moves.index(Move("E", (5, 2)))
+    earlier = object_of_diagram(apply_down(diagram_of_object(z), Move("E", (5, 1))), beta, gamma)
+    assert hom_leq(y, earlier)
+    assert find_descent_move(y, z) == Move("E", (5, 2))
 
 
 def test_find_descent_move_trivial_and_incomparable():
@@ -68,6 +82,19 @@ def test_reduction_chain_worked_pair_is_sound_and_monotone():
 def test_reduction_chain_rejects_incomparable():
     with pytest.raises(NotComparable):
         reduction_chain(DESCENT_Z, DESCENT_Y)
+
+
+def test_descent_stops_at_the_first_move_that_does_not_lower_poles_and_crossings(monkeypatch):
+    applied = []
+
+    def stuck(diagram, move):
+        applied.append(move)
+        return diagram
+
+    monkeypatch.setattr(arcdeg.reduction, "apply_down", stuck)
+    with pytest.raises(InternalInvariantViolation, match=r"^move A\(6,5,3,1\) does not lower \(poles, crossings\)"):
+        reduction_steps(DESCENT_Y, DESCENT_Z)
+    assert applied == [Move("A", (6, 5, 3, 1))]
 
 
 def test_published_five_move_chain_validates():

@@ -9,9 +9,9 @@ from arcdeg.geometry import stratum_dim
 from arcdeg.moves import _reach_ids, _type_graph, arc_leq, down_moves
 from arcdeg.objects import S2Object, alpha_of, diagram_of_object, enumerate_objects
 from arcdeg.partitions import Partition
-from arcdeg.verify import all_partitions, iter_types, mesh_check, region_check, subpartitions
+from arcdeg.verify import all_partitions, mesh_check, region_check, subpartitions
 
-from conftest import DESCENT_Y, DESCENT_Z, ORDER_PATCH, run_python
+from conftest import DESCENT_Y, DESCENT_Z, ORDER_PATCH, iter_types, run_python
 
 # Faults are injected in a fresh interpreter: patched in this process they
 # would leave wrong entries in the session-wide type-graph, closure and
