@@ -22,7 +22,7 @@ from .homcalc import (
     table_entry,
     test_set,
 )
-from .lr import alpha_for_type, lr_coefficient, minimal_count_prediction
+from .lr import lr_coefficient, minimal_count_prediction
 from .moves import (
     Move,
     apply_down,
@@ -52,7 +52,7 @@ from .objects import (
     object_type,
 )
 from .oracle import RealizedObject, oracle_hom_dim, rank_mod_p, realize
-from .partitions import Partition, is_column_strip, skew_column_counts
+from .partitions import Partition, is_column_strip
 from .reduction import find_descent_move, reduction_chain
 
 __version__ = "0.1.0"

@@ -9,19 +9,7 @@ prefix contains at least as many i as i+1, for all i.
 
 from __future__ import annotations
 
-from .partitions import Partition, is_column_strip, require_contains
-
-
-def alpha_for_type(beta: Partition, gamma: Partition) -> Partition:
-    """The subspace type forced on minimal elements: all parts 2, plus a
-    single 1 when the weight difference is odd."""
-    require_contains(beta, gamma)
-    return _minimal_alpha(beta, gamma)
-
-
-def _minimal_alpha(beta: Partition, gamma: Partition) -> Partition:
-    diff = beta.weight() - gamma.weight()
-    return Partition((2,) * (diff // 2) + (1,) * (diff % 2))
+from .partitions import Partition, is_column_strip
 
 
 def lr_coefficient(alpha: Partition, gamma: Partition, beta: Partition) -> int:
@@ -72,12 +60,14 @@ def lr_coefficient(alpha: Partition, gamma: Partition, beta: Partition) -> int:
 
 def minimal_count_prediction(beta: Partition, gamma: Partition) -> int | None:
     """Predicted number of minimal elements of the arc order on the type
-    (beta, gamma): the coefficient c^beta_{alpha, gamma} with alpha from
-    :func:`alpha_for_type`, valid when beta/gamma has at most one box
-    per column (equivalently, no diagram of the type carries a doubled
-    pole).  Returns None when that hypothesis fails; raises
-    :class:`TypeMismatch` when gamma does not fit in beta."""
+    (beta, gamma): the coefficient c^beta_{alpha, gamma}, where alpha is
+    the subspace type forced on minimal elements (all parts 2, plus a
+    single 1 when the weight difference is odd).  Valid when beta/gamma
+    has at most one box per column (equivalently, no diagram of the type
+    carries a doubled pole).  Returns None when that hypothesis fails;
+    raises :class:`TypeMismatch` when gamma does not fit in beta."""
     # is_column_strip raises TypeMismatch when gamma does not fit in beta
     if not is_column_strip(beta, gamma):
         return None
-    return lr_coefficient(_minimal_alpha(beta, gamma), gamma, beta)
+    diff = beta.weight() - gamma.weight()
+    return lr_coefficient(Partition((2,) * (diff // 2) + (1,) * (diff % 2)), gamma, beta)

@@ -335,18 +335,14 @@ def object_of_diagram(diagram: ArcDiagram, beta: Partition, gamma: Partition) ->
     return obj
 
 
-def _arcs_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    # strict interleaving only; shared endpoints, nesting and tangency do not count
-    (m, r), (n, s) = (a, b) if a >= b else (b, a)
-    return m > n > r > s
-
-
 def crossings(diagram: ArcDiagram) -> int:
     """Number of crossings: strictly interleaved arc pairs plus poles
     strictly inside an arc.  Loops never cross anything."""
     count = 0
-    for a, b in combinations(diagram.arcs, 2):
-        if _arcs_cross(a, b):
+    # the arcs are in descending order, so (m, r) is the larger of each
+    # pair; shared endpoints, nesting and tangency do not count
+    for (m, r), (n, s) in combinations(diagram.arcs, 2):
+        if m > n > r > s:
             count += 1
     for m, r in diagram.arcs:
         for p in diagram.poles:

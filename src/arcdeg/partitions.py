@@ -1,5 +1,5 @@
 """Integer partitions and the small amount of partition arithmetic the
-package needs: weights, moments, containment and skew column statistics.
+package needs: weights, moments, containment and the column-strip test.
 
 Partitions are stored dense and canonical: weakly decreasing, no zero
 parts.  Every constructor normalizes, so two equal multisets of parts
@@ -84,21 +84,11 @@ def require_contains(beta: Partition, gamma: Partition) -> None:
         raise TypeMismatch(f"{gamma.to_text() or '()'} is not contained in {beta.to_text() or '()'}")
 
 
-def skew_column_counts(beta: Partition, gamma: Partition) -> dict[int, int]:
-    """Number of boxes of the skew diagram beta/gamma in each column.
-
-    Columns are 1-based; columns without boxes are omitted.  Requires
-    ``gamma`` to be contained in ``beta``.
-    """
-    require_contains(beta, gamma)
-    counts: dict[int, int] = {}
-    for i, b in enumerate(beta.parts):
-        g = gamma.part_at(i)
-        for col in range(g + 1, b + 1):
-            counts[col] = counts.get(col, 0) + 1
-    return counts
-
-
 def is_column_strip(beta: Partition, gamma: Partition) -> bool:
-    """True when the skew diagram beta/gamma has at most one box per column."""
-    return all(c <= 1 for c in skew_column_counts(beta, gamma).values())
+    """True when the skew diagram beta/gamma has at most one box per
+    column, that is, when gamma_i >= beta_(i+1) for every i (gamma
+    interlaces beta; Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I.1).  Raises :class:`TypeMismatch` unless gamma is
+    contained in beta."""
+    require_contains(beta, gamma)
+    return all(gamma.part_at(i) >= b for i, b in enumerate(beta.parts[1:]))

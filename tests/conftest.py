@@ -48,11 +48,12 @@ def weight8_sweep():
     return equivalence_sweep(8)
 
 
-def run_python(*args, cwd=None):
+def run_python(*args, cwd=None, timeout=120):
     """Run a fresh interpreter with src/ on the import path; returns the
-    completed process with its text output captured."""
+    completed process with its text output captured.  Raises
+    :class:`subprocess.TimeoutExpired` after ``timeout`` seconds."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout
     )

@@ -4,7 +4,7 @@ import pytest
 
 from arcdeg.cli import main
 from arcdeg.errors import TypeMismatch
-from arcdeg.lr import alpha_for_type, lr_coefficient, minimal_count_prediction
+from arcdeg.lr import lr_coefficient, minimal_count_prediction
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions
 
@@ -58,15 +58,6 @@ def brute_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
     return count
 
 
-def test_alpha_for_type_examples():
-    assert alpha_for_type(Partition.of(3, 3, 2, 1), Partition.of(2, 2, 1)) == Partition.of(2, 2)
-    assert alpha_for_type(Partition.of(2, 1), Partition.of(1)) == Partition.of(2)
-    assert alpha_for_type(Partition.of(4, 3, 3, 2, 1), Partition.of(3, 2, 1, 1)) == Partition.of(2, 2, 2)
-    assert alpha_for_type(Partition.of(3, 2), Partition.of(2)) == Partition.of(2, 1)
-    with pytest.raises(TypeMismatch):
-        alpha_for_type(Partition.of(2), Partition.of(3))
-
-
 def test_lr_coefficient_examples():
     assert lr_coefficient(Partition.of(2, 2), Partition.of(2, 2, 1), Partition.of(3, 3, 2, 1)) == 1
     assert lr_coefficient(Partition.of(2), Partition.of(1), Partition.of(2, 1)) == 1
@@ -109,7 +100,6 @@ def test_minimal_count_prediction_examples():
 
 
 def test_minimal_count_prediction_checks_containment_once(monkeypatch):
-    import arcdeg.lr
     import arcdeg.partitions
 
     calls = []
@@ -120,7 +110,6 @@ def test_minimal_count_prediction_checks_containment_once(monkeypatch):
         original(beta, gamma)
 
     monkeypatch.setattr(arcdeg.partitions, "require_contains", counting)
-    monkeypatch.setattr(arcdeg.lr, "require_contains", counting)
     assert minimal_count_prediction(Partition.of(3, 2), Partition.of(2)) == 1
     assert len(calls) == 1
     with pytest.raises(TypeMismatch, match=r"^3 is not contained in 2$"):

@@ -45,20 +45,20 @@ def matmul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]
 
 
 def test_realize_small_picket():
-    r = realize(S2Object.of(P1(2)), 5)
+    r = realize(S2Object.of(P1(2)))
     assert dense(r.amb_op) == [[0, 0], [1, 0]]
     assert dense(r.sub_op) == [[0]]
     assert dense(r.embedding) == [[0], [1]]
 
 
 def test_realize_zero_subspace():
-    r = realize(S2Object.of(P0(3)), 2)
+    r = realize(S2Object.of(P0(3)))
     assert r.sub_dim == 0
     assert r.embedding.shape == (3, 0)
 
 
 def test_realize_bipicket_embedding():
-    r = realize(S2Object.of(B2(3, 1)), 7)
+    r = realize(S2Object.of(B2(3, 1)))
     columns = [list(col) for col in zip(*dense(r.embedding))]
     # generator lands on (first block shifted once, second block generator)
     assert columns[0] == [0, 1, 0, 1]
@@ -71,8 +71,8 @@ def test_realizations_intertwine_and_embed():
         S2Object.of(P2(4), P0(3), P1(1)),
         S2Object.of(B2(6, 4), B2(3, 1), P2(2)),
     ]:
+        r = realize(obj)
         for p in (2, 101):
-            r = realize(obj, p)
             emb = dense(r.embedding)
             lhs = matmul_mod(dense(r.amb_op), emb, p)
             rhs = matmul_mod(emb, dense(r.sub_op), p)
@@ -99,6 +99,7 @@ def test_oracle_pinned_values():
         for p in (2, 101):
             assert oracle_hom_dim(S2Object.of(P1(m)), S2Object.of(P1(m)), p) == m
     assert oracle_hom_dim(S2Object(), S2Object.of(P2(3)), 2) == 0
+    assert oracle_hom_dim(S2Object(), S2Object(), 2) == 0
 
 
 def test_oracle_matches_table_on_sample():
@@ -137,19 +138,20 @@ def test_oracle_system_keeps_one_row_per_condition_entry(monkeypatch):
         (S2Object.of(B2(5, 2)), S2Object.of(P2(4))),
     ]
     for x, y in pairs:
-        rx, ry = realize(x, 2), realize(y, 2)
+        rx, ry = realize(x), realize(y)
         n1, n2 = ry.sub_dim * rx.sub_dim, ry.amb_dim * rx.amb_dim
         oracle_hom_dim(x, y, 2)
         assert shapes.pop() == (n1 + n2 + ry.amb_dim * rx.sub_dim, n1 + n2)
 
 
-def test_realize_rejects_bad_prime():
-    x = S2Object.of(P1(1))
+def test_oracle_rejects_bad_prime():
+    pairs = [(S2Object.of(P1(1)), S2Object.of(B2(3, 1))), (S2Object(), S2Object())]
     for p in (1, 4, 91):
-        with pytest.raises(ValueError):
-            realize(x, p)
-    with pytest.raises(ValueError):
-        rank_mod_p(sparse([[1, 0], [0, 1]], 2), 4)
+        for x, y in pairs:
+            with pytest.raises(ValueError, match="prime"):
+                oracle_hom_dim(x, y, p)
+        with pytest.raises(ValueError, match="prime"):
+            rank_mod_p(sparse([[1, 0], [0, 1]], 2), p)
     # a prime past the int64 range of products: Python ints do not overflow
     assert oracle_hom_dim(DESCENT_Y, DESCENT_Z, 4_000_000_007) == hom_obj(DESCENT_Y, DESCENT_Z) == 131
 

@@ -3,9 +3,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arcdeg.errors import TypeMismatch
-from arcdeg.partitions import Partition, is_column_strip, skew_column_counts
+from arcdeg.partitions import Partition, is_column_strip
+from arcdeg.verify import all_partitions, subpartitions
 
 parts_lists = st.lists(st.integers(min_value=0, max_value=9), max_size=8)
+
+
+def skew_column_counts(beta: Partition, gamma: Partition) -> dict[int, int]:
+    """Reference: the number of boxes of the skew diagram beta/gamma in
+    each column (1-based), for gamma contained in beta; columns without
+    boxes are omitted."""
+    counts: dict[int, int] = {}
+    for i, b in enumerate(beta.parts):
+        for col in range(gamma.part_at(i) + 1, b + 1):
+            counts[col] = counts.get(col, 0) + 1
+    return counts
 
 
 def test_weight_examples():
@@ -32,15 +44,27 @@ def test_skew_column_counts_examples():
     assert skew_column_counts(Partition.of(5), Partition.of(5)) == {}
 
 
-def test_skew_column_counts_requires_containment():
+def test_is_column_strip_requires_containment():
     with pytest.raises(TypeMismatch):
-        skew_column_counts(Partition.of(2, 2), Partition.of(3))
+        is_column_strip(Partition.of(2, 2), Partition.of(3))
 
 
 def test_is_column_strip_examples():
     assert not is_column_strip(Partition.of(3, 3, 2, 1), Partition.of(2, 2, 1))
     assert is_column_strip(Partition.of(2, 1), Partition.of(1))
     assert is_column_strip(Partition.of(4), Partition.of(4))
+    assert is_column_strip(Partition.of(3, 1), Partition.of(1))
+    assert not is_column_strip(Partition.of(3, 2), Partition.of(1))
+
+
+def test_is_column_strip_matches_column_counts_up_to_weight_12():
+    pairs = 0
+    for beta in all_partitions(12):
+        for gamma in subpartitions(beta):
+            expected = all(c <= 1 for c in skew_column_counts(beta, gamma).values())
+            assert is_column_strip(beta, gamma) == expected, (beta, gamma)
+            pairs += 1
+    assert pairs == 8855
 
 
 def test_normalization_and_text():

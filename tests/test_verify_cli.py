@@ -283,8 +283,6 @@ def test_cli_enumerate_more_parts_than_recursion_limit(capsys):
     [
         ["--beta-max", "-1"],
         ["--beta-max", "0"],
-        ["--beta-max", "2", "--mesh-pairs", "-5"],
-        ["--beta-max", "2", "--region-pairs", "-1"],
     ],
 )
 def test_cli_verify_rejects_inputs_that_check_nothing(capsys, argv):
@@ -298,6 +296,25 @@ def test_cli_oracle_rejects_composite_modulus(capsys):
     code, out, err = run_cli(capsys, "oracle", "--x", "B(5,2)", "--y", "B(4,2)", "--prime", "4")
     assert code == 2
     assert "prime" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        # a prime far past the bound is refused before any trial division
+        (["--x", "B(5,2)", "--y", "B(4,2)", "--prime", "1000000000000000003"], 2, "2**40"),
+        # the largest prime below 2**40
+        (["--x", "B(5,2)", "--y", "B(4,2)", "--prime", "1099511627689"], 0, '"agree": true'),
+        # an empty system still reaches the prime check
+        (["--x", "", "--y", "", "--prime", "4"], 2, "prime"),
+    ],
+)
+def test_cli_oracle_checks_the_prime_in_bounded_time(argv, code, text):
+    # a fresh interpreter with a short timeout, so that a slow prime
+    # check fails the test instead of hanging it
+    proc = run_python("-m", "arcdeg", "oracle", *argv, timeout=10)
+    assert proc.returncode == code, proc.stderr
+    assert text in (proc.stdout if code == 0 else proc.stderr)
 
 
 def test_cli_parse_error_exit_code(capsys):
@@ -431,8 +448,8 @@ def test_sweep_tables_match_point_queries_up_to_weight_7():
 
 
 def test_cli_verify_small(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--beta-max", "4", "--mesh-pairs", "20", "--region-pairs", "20"
-    )
+    code, out, _ = run_cli(capsys, "verify", "--beta-max", "4")
     assert code == 0
     assert "all checks passed" in out
+    assert "mesh identity on 100 random pairs: ok" in out
+    assert "region indicator on 100 random unit pairs: ok" in out
