@@ -98,19 +98,19 @@ _COLUMNS: dict[tuple[Indecomposable, ...], dict[Indecomposable, tuple[int, ...]]
 
 def hom_obj(a: S2Object, b: S2Object) -> int:
     """Morphism-space dimension between objects, biadditive in both."""
-    return sum(hom_indec(s, t) for s in a.summands for t in b.summands)
+    return sum(hom_indec(s, t) for s in a for t in b)
 
 
 def delta_hom(y: S2Object, z: S2Object, x: Indecomposable) -> int:
     """[x, z] - [x, y] for same-type objects y, z."""
     require_same_type(y, z)
-    return sum(hom_indec(x, s) for s in z.summands) - sum(hom_indec(x, s) for s in y.summands)
+    return sum(hom_indec(x, s) for s in z) - sum(hom_indec(x, s) for s in y)
 
 
 def delta_mult(y: S2Object, z: S2Object, x: Indecomposable) -> int:
     """Multiplicity of x in z minus its multiplicity in y."""
     require_same_type(y, z)
-    return z.multiplicity(x) - y.multiplicity(x)
+    return z.count(x) - y.count(x)
 
 
 def test_set(beta: Partition, bound: int | None = None) -> tuple[Indecomposable, ...]:
@@ -148,7 +148,7 @@ def _hom_rows(xs, objects) -> list[tuple[int, ...]]:
     rows = []
     for o in objects:
         summed = []
-        for s in o.summands:
+        for s in o:
             col = cols.get(s)
             if col is None:
                 col = cols[s] = tuple(hom_indec(x, s) for x in xs)
@@ -214,8 +214,8 @@ def mesh_defect_report(y: S2Object, z: S2Object, n: int) -> list[MeshViolation]:
         raise ValueError(f"window bound {n} is below the required {beta.max_part + 3}")
     dh = dict(zip(test_set(beta, n + 1), delta_profile(y, z, n + 1)))
     dh[None] = 0  # composite cells
-    mult = Counter(z.summands)
-    mult.subtract(y.summands)
+    mult = Counter(z)
+    mult.subtract(y)
     violations: list[MeshViolation] = []
     for ell in range(2, n):
         for t in range(0, ell - 1):

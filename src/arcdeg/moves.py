@@ -435,6 +435,6 @@ def unit_pair(move: Move, context: Iterable[Indecomposable] = ()) -> tuple[S2Obj
     optional shared extra summands."""
     left, middle, right = ses_witness(move)
     extra = tuple(context)
-    smaller = S2Object(middle.summands + extra)
-    larger = S2Object(left.summands + right.summands + extra)
+    smaller = S2Object(middle + extra)
+    larger = S2Object(left + right + extra)
     return smaller, larger

@@ -19,30 +19,32 @@ one arc per ``B2(m, r)``, one arc (m, m-1) per ``P2(m) + P0(m-1)`` pair,
 one pole per ``P1``, and one loop per unpaired ``P2``; ``P0`` summands
 are invisible.
 
-Summands and arc diagrams are validated named tuples.  Each compares
-and hashes equal to its plain tuple, ``(kind, m, r)`` or ``(arcs,
-poles, loops)``, so it is its own key in every table.  The constructor
-checks the fields and sorts a diagram's groups; the inherited ``_make``
-and ``_replace`` skip both, and the library does not call them.
+Summands, arc diagrams and objects are tuples that compare and hash
+equal to their plain tuples, ``(kind, m, r)``, ``(arcs, poles, loops)``
+and the summands in canonical order, so each is its own key in every
+table.  The constructors check summands and sort diagram groups and
+object summands; ``enumerate_objects``, whose summands come sorted,
+builds objects with ``tuple.__new__``, the one bypass, and the library
+never calls the namedtuple ``_make`` or ``_replace``, which skip both.
 Objects are parsed from and printed as ``+``-joined text; diagrams are
 only printed, since no command reads one.
 
 An object's (ambient, quotient) type is derived once, by the first
-``object_type`` call, and kept on the object in a field that takes no
-part in equality, hashing, ``repr`` or the text form;
-``enumerate_objects`` fills that field with the type it was given or,
-when enumerating a whole ambient type, with the quotient type it
-derives.  Each enumeration builds each summand once, with its sort key
-and quotient parts, and sorts the objects once, on those sort keys.
+``object_type`` call, and kept in the object's ``_type`` attribute,
+which takes no part in equality, hashing, ``repr`` or the text form;
+``enumerate_objects`` sets it to the type it was given or, when
+enumerating a whole ambient type, to the quotient type it derives.
+Each enumeration builds each summand once, with its sort key and
+quotient parts, and sorts the objects once, on those sort keys.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import combinations
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import InconsistentDiagram, TypeMismatch
 from .partitions import Partition
@@ -139,25 +141,24 @@ def arc_summands(m: int, r: int) -> tuple[Indecomposable, ...]:
 _SUMMAND_RE = re.compile(r"^(B2?|P[012])\((\d+)(?:,(\d+))?\)$")
 
 
-@dataclass(frozen=True)
-class S2Object:
-    """An isomorphism class: a multiset of indecomposables.
-
-    Summands are kept in a canonical order (B2 before P2 before P1
+class S2Object(tuple):
+    """An isomorphism class: a multiset of indecomposables, stored as the
+    tuple of its summands in canonical order (B2 before P2 before P1
     before P0, then lexicographically descending on the parameters), so
-    equality of objects is multiset equality.
+    equality of objects is multiset equality.  Objects are sorted only by
+    a key on their summands' sort keys, never by tuple order, which ranks
+    the kinds by name (B2 < P0 < P1 < P2) rather than canonically.
     """
 
-    summands: tuple[Indecomposable, ...] = ()
-    # (ambient, quotient) type, filled by enumerate_objects or the first object_type call
-    _type: tuple[Partition, Partition] | None = field(default=None, init=False, repr=False, compare=False)
+    # (ambient, quotient) type, set by enumerate_objects or the first object_type call
+    _type: tuple[Partition, Partition] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(sorted(self.summands, key=lambda s: s.sort_key)))
+    def __new__(cls, summands: Iterable[Indecomposable] = ()):
+        return super().__new__(cls, sorted(summands, key=attrgetter("sort_key")))
 
     @classmethod
     def of(cls, *summands: Indecomposable) -> "S2Object":
-        return cls(tuple(summands))
+        return cls(summands)
 
     @classmethod
     def from_text(cls, text: str) -> "S2Object":
@@ -184,23 +185,13 @@ class S2Object:
                 if r is not None:
                     raise ValueError(f"{token!r}: pickets take a single parameter")
                 summands.append(Indecomposable(kind, m))
-        return cls(tuple(summands))
+        return cls(summands)
 
     def to_text(self) -> str:
-        return "+".join(s.to_text() for s in self.summands)
+        return "+".join(s.to_text() for s in self)
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def multiplicity(self, x: Indecomposable) -> int:
-        return sum(1 for s in self.summands if s == x)
-
-    def __len__(self) -> int:
-        return len(self.summands)
-
-    @property
-    def sort_key(self):
-        return tuple(s.sort_key for s in self.summands)
 
 
 class ArcDiagram(namedtuple("ArcDiagram", "arcs poles loops")):
@@ -227,10 +218,6 @@ class ArcDiagram(namedtuple("ArcDiagram", "arcs poles loops")):
                 raise ValueError(f"loop at {q!r} is out of range (loops need integers m >= 2)")
         return super().__new__(cls, *(tuple(sorted(g, reverse=True)) for g in (arcs, poles, loops)))
 
-    @classmethod
-    def of(cls, arcs=(), poles=(), loops=()) -> "ArcDiagram":
-        return cls(tuple(tuple(a) for a in arcs), tuple(poles), tuple(loops))
-
     def to_text(self) -> str:
         arcs = ",".join(f"{m}-{r}" for m, r in self.arcs)
         poles = ",".join(str(p) for p in self.poles)
@@ -247,10 +234,10 @@ def object_type(obj: S2Object) -> tuple[Partition, Partition]:
     if obj._type is None:
         beta: list[int] = []
         gamma: list[int] = []
-        for s in obj.summands:
+        for s in obj:
             beta.extend(s.ambient_parts())
             gamma.extend(s.quotient_parts())
-        object.__setattr__(obj, "_type", (Partition(tuple(beta)), Partition(tuple(gamma))))
+        obj._type = (Partition(tuple(beta)), Partition(tuple(gamma)))
     return obj._type
 
 
@@ -268,7 +255,7 @@ def require_same_type(y: S2Object, z: S2Object) -> Partition:
 def alpha_of(obj: S2Object) -> Partition:
     """Jordan type of the subspace: a 2 per arc or loop, a 1 per pole."""
     parts: list[int] = []
-    for s in obj.summands:
+    for s in obj:
         parts.extend(s.alpha_parts())
     return Partition(tuple(parts))
 
@@ -284,7 +271,7 @@ def diagram_of_object(obj: S2Object) -> ArcDiagram:
     poles: list[int] = []
     p2_count: dict[int, int] = {}
     p0_count: dict[int, int] = {}
-    for s in obj.summands:
+    for s in obj:
         if s.kind == "B2":
             arcs.append((s.m, s.r))
         elif s.kind == "P1":
@@ -325,7 +312,7 @@ def object_of_diagram(diagram: ArcDiagram, beta: Partition, gamma: Partition) ->
                     f"diagram needs an ambient part {part} not available in {beta.to_text() or '()'}"
                 ) from None
     summands.extend(P0(w) for w in remaining)
-    obj = S2Object(tuple(summands))
+    obj = S2Object(summands)
     got_beta, got_gamma = object_type(obj)
     if (got_beta, got_gamma) != (beta, gamma):
         raise InconsistentDiagram(
@@ -404,10 +391,9 @@ def enumerate_objects(beta: Partition, gamma: Partition | None = None) -> list[S
             # acc holds (sort key, summand) pairs, so sorting it gives the
             # canonical summand order and the object's sort key at once
             key = tuple(sorted(acc))
-            obj = object.__new__(S2Object)
-            object.__setattr__(obj, "summands", tuple(s for _, s in key))
+            obj = tuple.__new__(S2Object, [s for _, s in key])
             # the type is known here, so object_type need not derive it
-            object.__setattr__(obj, "_type", (beta, quotient))
+            obj._type = (beta, quotient)
             found.append((key, obj))
             continue
         if gamma is not None and gamma_rem and gamma_rem[0] > beta_rem[0]:

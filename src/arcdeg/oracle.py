@@ -99,7 +99,7 @@ def realize(obj: S2Object) -> RealizedObject:
     sub_parts: list[int] = []
     amb_parts: list[int] = []
     ones: list[tuple[int, int]] = []
-    for s in obj.summands:
+    for s in obj:
         sp, ap, block = _summand_embedding(*s)
         row, col = sum(amb_parts), sum(sub_parts)
         ones.extend((row + i, col + j) for i, j in block)

@@ -33,8 +33,8 @@ from .objects import S2Object, crossings, diagram_of_object, object_of_diagram, 
 def _admissible(y: S2Object, z: S2Object, move: Move, members, deltas) -> bool:
     # the caller has checked that y and z share a type
     left, _, right = ses_witness(move)
-    for end in (left.summands[0], right.summands[0]):
-        if z.multiplicity(end) <= y.multiplicity(end):
+    for end in (left[0], right[0]):
+        if z.count(end) <= y.count(end):
             return False
     pred = region(move)
     return all(d >= 1 for x, d in zip(members, deltas) if pred(x))

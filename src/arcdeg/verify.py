@@ -95,7 +95,6 @@ def subpartitions(beta: Partition) -> list[Partition]:
 
 @dataclass
 class SweepReport:
-    max_weight: int
     types_seen: int = 0
     types_realizable: int = 0
     objects_total: int = 0
@@ -128,7 +127,7 @@ class SweepReport:
 
 def equivalence_sweep(max_weight: int) -> SweepReport:
     """Run the exhaustive per-type checks up to the weight bound."""
-    report = SweepReport(max_weight=max_weight)
+    report = SweepReport()
     for beta in all_partitions(max_weight)[1:]:  # all but the empty one
         # one enumeration per beta; each gamma keeps the canonical order
         by_gamma: dict[Partition, list[S2Object]] = {}

@@ -26,6 +26,11 @@ homcalc.hom_indec = lambda x, y: table(x, y) + (x == P1(2) and y.kind == "B2")
 """
 
 
+def object_key(obj):
+    """The canonical order on objects: the summands' sort keys, in order."""
+    return tuple(s.sort_key for s in obj)
+
+
 def iter_types(max_weight: int):
     """All (beta, gamma) with 1 <= |beta| <= max_weight and gamma inside beta."""
     from arcdeg.verify import all_partitions, subpartitions

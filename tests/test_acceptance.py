@@ -176,12 +176,12 @@ def test_criterion_09_cross_type_hom_fixtures():
     partner = S2Object.of(P0(4), P2(2))
     probes = hom_test_set(Partition.of(4, 2))
     assert all(hom_obj(S2Object.of(t), x) - hom_obj(S2Object.of(t), partner) >= 0 for t in probes)
-    assert len(x.summands) == 1 and len(partner.summands) == 2
+    assert len(x) == 1 and len(partner) == 2
     # same subspace and quotient types, different ambients
     partner2 = S2Object.of(P2(5), P0(1))
     probes2 = hom_test_set(Partition.of(5, 1))
     assert all(hom_obj(S2Object.of(t), x) - hom_obj(S2Object.of(t), partner2) >= 0 for t in probes2)
-    assert len(partner2.summands) == 2
+    assert len(partner2) == 2
     assert object_type(x)[1] == object_type(partner2)[1]
     assert object_type(x)[0] == object_type(partner)[0]
     _report(9, "one-sided hom relations hold across both fixed-pair fixtures")

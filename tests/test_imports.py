@@ -8,7 +8,10 @@ module-level private name (``_x``) counts as read when it is loaded as a
 name, or as an attribute of a module, in any library module outside its
 own definition.  A module-level public function or class, re-exported
 by the package or not, counts as called when the library reads it the
-same way, or a demo or a file under ``bench/`` reads it.
+same way, or a demo or a file under ``bench/`` reads it.  A public
+classmethod counts as read when one of those sources reads it through
+its class: as ``Cls.name`` (or ``module.Cls.name``) anywhere, or as
+``cls.name`` inside the class.
 """
 
 import ast
@@ -137,3 +140,64 @@ def test_public_name_check_counts_other_modules_and_callers():
     }
     callers = ["import arcdeg.a\narcdeg.a.benched()\n"]
     assert uncalled_public_names(library, callers) == ["a.py:shown", "a.py:lonely", "b.py:Unread"]
+
+
+def _class_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, name) of each attribute the module reads through a class."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            reads.add((node.value.id, node.attr))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            reads.add((node.value.attr, node.attr))
+        elif isinstance(node, ast.ClassDef):
+            reads.update(
+                (node.name, sub.attr)
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == "cls"
+            )
+    return reads
+
+
+def unread_classmethods(library: dict[str, str], callers: list[str]) -> list[str]:
+    """module:Class.name of each public classmethod of a module-level
+    class that no library module and none of the caller sources reads
+    through its class."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    reads = set().union(*map(_class_reads, trees.values()), *(_class_reads(ast.parse(s)) for s in callers))
+    return [
+        f"{module}:{cls.name}.{fn.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and any(isinstance(d, ast.Name) and d.id == "classmethod" for d in fn.decorator_list)
+        and (cls.name, fn.name) not in reads
+    ]
+
+
+def test_every_public_classmethod_has_a_reader():
+    library = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    callers = [path.read_text(encoding="utf-8") for path in sorted(ROOT.glob("demos/*.py"))]
+    callers += [path.read_text(encoding="utf-8") for path in sorted(ROOT.glob("bench/**/*.py"))]
+    assert len(library) >= 10 and len(callers) >= 5
+    assert unread_classmethods(library, callers) == []
+
+
+def test_classmethod_check_reads_through_the_class_only():
+    library = {
+        "a.py": (
+            "class A:\n"
+            "    @classmethod\n    def made(cls): return cls.parsed()\n"
+            "    @classmethod\n    def parsed(cls): pass\n"
+            "    @classmethod\n    def benched(cls): pass\n"
+            "    @classmethod\n    def lonely(cls): pass\n"
+            "    @classmethod\n    def _hidden(cls): pass\n"
+            "    def method(self): return self.lonely()\n"
+        ),
+        "b.py": "from .a import A\nx = A.made()\n",
+    }
+    callers = ["import arcdeg\narcdeg.A.benched()\na = arcdeg.A()\na.lonely()\n"]
+    assert unread_classmethods(library, callers) == ["a.py:A.lonely"]

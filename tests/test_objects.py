@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,10 +21,11 @@ from arcdeg.objects import (
     object_of_diagram,
     object_type,
 )
+from arcdeg.moves import MOVE_ARITY, Move, ses_witness, unit_pair
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions, subpartitions
 
-from conftest import iter_types
+from conftest import iter_types, object_key
 
 # the running classification example: every summand kind at once
 MIXED = S2Object.of(B2(5, 3), B2(4, 2), P2(5), P0(2), P2(3), P1(3), P0(1), P1(1))
@@ -76,7 +80,7 @@ def test_arc_diagram_validation():
 def test_summands_and_diagrams_are_their_own_keys():
     assert repr(B2(5, 3)) == "Indecomposable(kind='B2', m=5, r=3)"
     assert repr(P1(2)) == "Indecomposable(kind='P1', m=2, r=0)"
-    d = ArcDiagram.of([(5, 3)], [2], [4])
+    d = ArcDiagram([(5, 3)], [2], [4])
     assert repr(d) == "ArcDiagram(arcs=((5, 3),), poles=(2,), loops=(4,))"
     # the sweep's failure messages look diagrams up by plain move targets
     for value, plain in ((B2(5, 3), ("B2", 5, 3)), (d, (((5, 3),), (2,), (4,)))):
@@ -102,43 +106,43 @@ def test_alpha_of_examples():
 
 def test_diagram_of_object_examples():
     d = diagram_of_object(MIXED)
-    assert d == ArcDiagram.of([(5, 3), (4, 2), (3, 2)], [3, 1], [5])
+    assert d == ArcDiagram([(5, 3), (4, 2), (3, 2)], [3, 1], [5])
     obj = S2Object.of(P1(7), P1(4), P1(2), B2(6, 3), B2(5, 1))
-    assert diagram_of_object(obj) == ArcDiagram.of([(6, 3), (5, 1)], [7, 4, 2], [])
+    assert diagram_of_object(obj) == ArcDiagram([(6, 3), (5, 1)], [7, 4, 2], [])
     assert diagram_of_object(S2Object.of(P0(4), P0(2))) == ArcDiagram()
 
 
 def test_greedy_pairing_is_maximal():
     obj = S2Object.of(P2(3), P2(3), P0(2))
-    assert diagram_of_object(obj) == ArcDiagram.of([(3, 2)], [], [3])
+    assert diagram_of_object(obj) == ArcDiagram([(3, 2)], [], [3])
 
 
 def test_object_of_diagram_examples():
     assert object_of_diagram(
-        ArcDiagram.of([(2, 1)]), Partition.of(2, 1), Partition.of(1)
+        ArcDiagram([(2, 1)]), Partition.of(2, 1), Partition.of(1)
     ) == S2Object.of(P2(2), P0(1))
     assert object_of_diagram(
         ArcDiagram(), Partition.of(3, 1), Partition.of(3, 1)
     ) == S2Object.of(P0(3), P0(1))
     with pytest.raises(InconsistentDiagram):
-        object_of_diagram(ArcDiagram.of([], [3]), Partition.of(2, 1), Partition.of(1))
+        object_of_diagram(ArcDiagram([], [3]), Partition.of(2, 1), Partition.of(1))
     with pytest.raises(InconsistentDiagram):
         # parts exist but the quotient type comes out wrong
-        object_of_diagram(ArcDiagram.of([], [2]), Partition.of(2, 1), Partition.of(2))
+        object_of_diagram(ArcDiagram([], [2]), Partition.of(2, 1), Partition.of(2))
 
 
 def test_crossings_examples():
-    assert crossings(ArcDiagram.of([(4, 3), (2, 1)], [], [3])) == 0
-    assert crossings(ArcDiagram.of([(4, 1), (3, 2)], [], [3])) == 0
-    assert crossings(ArcDiagram.of([(4, 1)], [3, 2], [3])) == 2
+    assert crossings(ArcDiagram([(4, 3), (2, 1)], [], [3])) == 0
+    assert crossings(ArcDiagram([(4, 1), (3, 2)], [], [3])) == 0
+    assert crossings(ArcDiagram([(4, 1)], [3, 2], [3])) == 2
     assert crossings(diagram_of_object(MIXED)) == 2
 
 
 def test_crossings_multiplicity_and_shared_endpoints():
     # doubled arcs never cross each other; a doubled pole counts twice
-    assert crossings(ArcDiagram.of([(4, 1), (4, 1)], [], [])) == 0
-    assert crossings(ArcDiagram.of([(4, 1)], [2, 2], [])) == 2
-    assert crossings(ArcDiagram.of([(4, 2), (2, 1)], [], [])) == 0  # shared endpoint
+    assert crossings(ArcDiagram([(4, 1), (4, 1)], [], [])) == 0
+    assert crossings(ArcDiagram([(4, 1)], [2, 2], [])) == 2
+    assert crossings(ArcDiagram([(4, 2), (2, 1)], [], [])) == 0  # shared endpoint
 
 
 def test_enumerate_objects_counts():
@@ -177,7 +181,7 @@ def test_enumerate_per_beta_matches_per_type_up_to_weight_9():
 
 def test_enumerate_per_beta_keeps_canonical_order():
     everything = enumerate_objects(Partition.of(5, 4, 3, 2, 1))
-    assert everything == sorted(everything, key=lambda o: o.sort_key)
+    assert everything == sorted(everything, key=object_key)
     assert len(everything) == 314
     assert everything[0] == S2Object.of(B2(5, 3), B2(4, 2), P1(1))
     assert enumerate_objects(Partition()) == [S2Object()]
@@ -222,8 +226,8 @@ def test_crossings_ignore_loops_and_invisible_summands(obj, m, w):
     # an extra P2 becomes a loop or a boundary arc (m, m-1), an extra P0
     # is invisible or completes a boundary arc; neither can ever cross
     base = crossings(diagram_of_object(obj))
-    assert crossings(diagram_of_object(S2Object(obj.summands + (P2(m),)))) == base
-    assert crossings(diagram_of_object(S2Object(obj.summands + (P0(w),)))) == base
+    assert crossings(diagram_of_object(S2Object(obj + (P2(m),)))) == base
+    assert crossings(diagram_of_object(S2Object(obj + (P0(w),)))) == base
 
 
 def test_fixed_type_injectivity():
@@ -247,8 +251,8 @@ def test_text_round_trips():
 
 def _fresh_type(obj):
     """object_type recomputed from the summands, without the kept field."""
-    beta = [p for s in obj.summands for p in s.ambient_parts()]
-    gamma = [p for s in obj.summands for p in s.quotient_parts()]
+    beta = [p for s in obj for p in s.ambient_parts()]
+    gamma = [p for s in obj for p in s.quotient_parts()]
     return Partition(tuple(beta)), Partition(tuple(gamma))
 
 
@@ -268,9 +272,38 @@ def test_kept_object_type_matches_a_fresh_computation():
 
 @given(objects_strategy)
 def test_kept_object_type_leaves_equality_hash_and_text_alone(obj):
-    twin = S2Object(obj.summands)
+    twin = S2Object(obj)
     object_type(obj)
     assert obj._type is not None and twin._type is None
     assert obj == twin and hash(obj) == hash(twin)
     assert obj.to_text() == twin.to_text() and repr(obj) == repr(twin)
     assert object_type(twin) == object_type(obj) == _fresh_type(obj)
+
+
+def test_every_construction_path_gives_the_canonical_tuple():
+    # an object is the tuple of its summands in canonical order, whichever
+    # constructor built it, the enumerator's bypass included
+    objects = []
+    for beta in all_partitions(8):
+        everything = enumerate_objects(beta)
+        objects += everything
+        for gamma in subpartitions(beta):
+            objects += [object_of_diagram(diagram_of_object(o), beta, gamma) for o in enumerate_objects(beta, gamma)]
+        objects += [S2Object.from_text(o.to_text()) for o in everything]
+    # extra summands given against the canonical order
+    context = (P0(1), P1(3), B2(7, 2))
+    for kind, k in MOVE_ARITY.items():
+        for points in combinations(range(7, 0, -1), k):
+            move = Move(kind, points)
+            objects += [*ses_witness(move), *unit_pair(move), *unit_pair(move, context)]
+    assert len(objects) > 3000
+    zeros = 0
+    for o in objects:
+        assert type(o) is S2Object
+        assert list(o) == sorted(o, key=lambda s: s.sort_key)
+        assert o == tuple(o) and hash(o) == hash(tuple(o))
+        counts = Counter(o)
+        assert all(o.count(x) == counts[x] for x in (*counts, P0(9)))
+        assert bool(o) == (len(o) > 0)
+        zeros += not o
+    assert zeros == 3

@@ -378,7 +378,7 @@ def test_sweep_picket_check_names_each_failing_object_once():
     expected = []
     for beta, gamma in iter_types(6):
         objects = enumerate_objects(beta, gamma)
-        counts = [sum(s.kind == "B2" for s in o.summands) for o in objects]
+        counts = [sum(s.kind == "B2" for s in o) for o in objects]
         expected += [
             f"P0(2) on {objects[0].to_text()} vs {o.to_text()}"
             for o, count in zip(objects, counts)
