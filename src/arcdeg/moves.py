@@ -143,35 +143,27 @@ def _move_candidates(arcs, poles):
             yield "E", (m, r)
 
 
-def _apply_moves(moves, arcs, poles):
-    """(kind, points, (arcs, poles)) for each (kind, points) in ``moves``
-    applied to these arcs and poles (descending tuples), the results as
-    descending tuples; raises ValueError when a removed piece is missing
-    (with multiplicity)."""
-    for kind, pts in moves:
-        target = [arcs, poles]
-        for side, out, into in _MOVE_EDITS[kind]:
-            edited = list(target[side])
-            for piece in out:
-                edited.remove(piece(pts))
-            for piece in into:
-                edited.append(piece(pts))
-            edited.sort(reverse=True)
-            target[side] = tuple(edited)
-        yield kind, pts, tuple(target)
-
-
-def _move_targets(arcs, poles):
-    """Every down-move on these arcs and poles with its result, as from
-    ``_apply_moves``; different moves may give one result."""
-    return _apply_moves(_move_candidates(arcs, poles), arcs, poles)
+def _apply(kind, pts, arcs, poles):
+    """The (arcs, poles) of a move applied to these arcs and poles
+    (descending tuples), as descending tuples; raises ValueError when a
+    removed piece is missing (with multiplicity)."""
+    target = [arcs, poles]
+    for side, out, into in _MOVE_EDITS[kind]:
+        edited = list(target[side])
+        for piece in out:
+            edited.remove(piece(pts))
+        for piece in into:
+            edited.append(piece(pts))
+        edited.sort(reverse=True)
+        target[side] = tuple(edited)
+    return tuple(target)
 
 
 def apply_down(diagram: ArcDiagram, move: Move) -> ArcDiagram:
     """Apply a down-move; raises :class:`MoveNotApplicable` when the
     required arcs or poles are missing (with multiplicity)."""
     try:
-        _, _, (arcs, poles) = next(_apply_moves([(move.kind, move.points)], diagram.arcs, diagram.poles))
+        arcs, poles = _apply(move.kind, move.points, diagram.arcs, diagram.poles)
     except ValueError:
         raise MoveNotApplicable(f"{move} does not apply to {diagram}") from None
     return ArcDiagram(arcs, poles, diagram.loops)
@@ -180,9 +172,10 @@ def apply_down(diagram: ArcDiagram, move: Move) -> ArcDiagram:
 def down_moves(diagram: ArcDiagram) -> list[tuple[Move, ArcDiagram]]:
     """All distinct applicable down-moves with their results, ordered by
     kind A < B < C < D < E and then lexicographically on the points."""
+    arcs, poles = diagram.arcs, diagram.poles
     return [
-        (Move(kind, pts), ArcDiagram(arcs, poles, diagram.loops))
-        for kind, pts, (arcs, poles) in sorted(_move_targets(diagram.arcs, diagram.poles))
+        (Move(kind, pts), ArcDiagram(*_apply(kind, pts, arcs, poles), diagram.loops))
+        for kind, pts in sorted(_move_candidates(arcs, poles))
     ]
 
 
@@ -261,7 +254,9 @@ def _down_closure(arcs, poles) -> frozenset:
     reach = {start}
     stack = [start]
     while stack:
-        for _, _, nxt in _move_targets(*stack.pop()):
+        arcs, poles = stack.pop()
+        for kind, pts in _move_candidates(arcs, poles):
+            nxt = _apply(kind, pts, arcs, poles)
             if nxt not in reach:
                 reach.add(nxt)
                 stack.append(nxt)

@@ -4,7 +4,8 @@ summands, the object/arc-diagram bijection, crossing counts, and the
 enumeration of all objects of a fixed ambient/quotient type or of a
 whole ambient type.
 
-Every indecomposable is one of four kinds:
+Every indecomposable is one of four kinds, listed with its subspace
+dimension, which one table holds for alpha and the quotient parts:
 
 * ``P0(m)`` -- the zero subspace of a single Jordan block of size m;
 * ``P1(m)`` -- the 1-dimensional invariant subspace of a block of size m;
@@ -50,6 +51,7 @@ from .errors import InconsistentDiagram, TypeMismatch
 from .partitions import Partition
 
 _KIND_RANK = {"B2": 0, "P2": 1, "P1": 2, "P0": 3}
+_SUBSPACE_DIM = {"B2": 2, "P2": 2, "P1": 1, "P0": 0}
 
 
 class Indecomposable(namedtuple("Indecomposable", "kind m r")):
@@ -82,23 +84,8 @@ class Indecomposable(namedtuple("Indecomposable", "kind m r")):
 
     def quotient_parts(self) -> tuple[int, ...]:
         """Jordan block sizes contributed to the quotient (zeros dropped)."""
-        if self.kind == "P0":
-            raw = (self.m,)
-        elif self.kind == "P1":
-            raw = (self.m - 1,)
-        elif self.kind == "P2":
-            raw = (self.m - 2,)
-        else:
-            raw = (self.m - 1, self.r - 1)
+        raw = (self.m - 1, self.r - 1) if self.kind == "B2" else (self.m - _SUBSPACE_DIM[self.kind],)
         return tuple(p for p in raw if p > 0)
-
-    def alpha_parts(self) -> tuple[int, ...]:
-        """Jordan block sizes of the subspace itself."""
-        if self.kind == "P0":
-            return ()
-        if self.kind == "P1":
-            return (1,)
-        return (2,)
 
     def to_text(self) -> str:
         if self.kind == "B2":
@@ -254,10 +241,7 @@ def require_same_type(y: S2Object, z: S2Object) -> Partition:
 
 def alpha_of(obj: S2Object) -> Partition:
     """Jordan type of the subspace: a 2 per arc or loop, a 1 per pole."""
-    parts: list[int] = []
-    for s in obj:
-        parts.extend(s.alpha_parts())
-    return Partition(tuple(parts))
+    return Partition(tuple([_SUBSPACE_DIM[s.kind] for s in obj]))
 
 
 def diagram_of_object(obj: S2Object) -> ArcDiagram:

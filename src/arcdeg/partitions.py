@@ -51,9 +51,6 @@ class Partition:
     def to_text(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def __len__(self) -> int:
         return len(self.parts)
 

@@ -1,8 +1,10 @@
 """Whole-library property sweep over every type up to a weight bound.
 
 Each ambient type beta up to the bound is enumerated once and its
-objects are grouped by quotient type gamma.  Each realizable type gets
-one record (``moves.TypeGraph``) and is checked exhaustively:
+objects are grouped by quotient type gamma; the betas and gammas come
+from one partition walk, with an explicit stack instead of recursion.
+Each realizable type gets one record (``moves.TypeGraph``) and is
+checked exhaustively:
 
 * diagram round trip: the object of the diagram of an object is the
   object itself;
@@ -65,32 +67,29 @@ from .objects import (
 from .partitions import Partition
 
 
+def _partitions_below(bounds: tuple[int, ...], max_weight: int) -> list[Partition]:
+    """Every partition with i-th part at most ``bounds[i]`` and weight at
+    most max_weight, depth first with larger parts first, each right
+    before the ones that extend it by a part."""
+    out = []
+    stack = [((), max_weight)]
+    while stack:
+        parts, room = stack.pop()
+        out.append(Partition(parts))
+        if len(parts) < len(bounds):
+            cap = min(bounds[len(parts)], room, parts[-1] if parts else room)
+            stack += [(parts + (p,), room - p) for p in range(1, cap + 1)]
+    return out
+
+
 def all_partitions(max_weight: int) -> list[Partition]:
     """Every partition of weight 0..max_weight."""
-    out = [Partition()]
-    def rec(remaining: int, cap: int, acc: list[int]):
-        for p in range(min(cap, remaining), 0, -1):
-            acc.append(p)
-            out.append(Partition(tuple(acc)))
-            rec(remaining - p, p, acc)
-            acc.pop()
-    rec(max_weight, max_weight, [])
-    return out
+    return _partitions_below((max_weight,) * max_weight, max_weight)
 
 
 def subpartitions(beta: Partition) -> list[Partition]:
     """Every partition contained in beta."""
-    out: list[Partition] = []
-    def rec(i: int, cap: int, acc: list[int]):
-        out.append(Partition(tuple(acc)))
-        if i >= len(beta.parts):
-            return
-        for p in range(min(cap, beta.parts[i]), 0, -1):
-            acc.append(p)
-            rec(i + 1, p, acc)
-            acc.pop()
-    rec(0, beta.max_part, [])
-    return out
+    return _partitions_below(beta.parts, beta.weight())
 
 
 @dataclass

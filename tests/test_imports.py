@@ -11,7 +11,8 @@ by the package or not, counts as called when the library reads it the
 same way, or a demo or a file under ``bench/`` reads it.  A public
 classmethod counts as read when one of those sources reads it through
 its class: as ``Cls.name`` (or ``module.Cls.name``) anywhere, or as
-``cls.name`` inside the class.
+``cls.name`` inside the class.  No library function, nested or method,
+calls itself, so no input meets the interpreter's recursion limit.
 """
 
 import ast
@@ -201,3 +202,54 @@ def test_classmethod_check_reads_through_the_class_only():
     }
     callers = ["import arcdeg\narcdeg.A.benched()\na = arcdeg.A()\na.lonely()\n"]
     assert unread_classmethods(library, callers) == ["a.py:A.lonely"]
+
+
+def _calls_name(node: ast.AST, name: str) -> bool:
+    """True when node calls ``name``, ``self.name`` or ``cls.name``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in ("self", "cls"):
+        return func.attr == name
+    return isinstance(func, ast.Name) and func.id == name
+
+
+def recursive_functions(source: str) -> list[str]:
+    """Qualified name of each function, nested ones and methods included,
+    whose body calls its own name, in sorted order."""
+    found = []
+    stack = [(ast.parse(source), "")]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if any(_calls_name(sub, child.name) for sub in ast.walk(child)):
+                    found.append(name)
+                stack.append((child, name + ".<locals>."))
+            elif isinstance(child, ast.ClassDef):
+                stack.append((child, prefix + child.name + "."))
+            else:
+                stack.append((child, prefix))
+    return sorted(found)
+
+
+def test_library_has_no_recursive_functions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) >= 10
+    found = {module: recursive_functions(source) for module, source in sources.items()}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_recursion_check_sees_nested_functions_and_methods():
+    source = (
+        "def fact(n):\n    return 1 if n < 2 else n * fact(n - 1)\n"
+        "def walk(xs):\n    def rec(i):\n        return [] if i == len(xs) else [xs[i]] + rec(i + 1)\n"
+        "    return rec(0)\n"
+        "def loop(n):\n    return [fact(k) for k in range(n)]\n"
+        "class A:\n"
+        "    def down(self, n):\n        return n and self.down(n - 1)\n"
+        "    def text(self):\n        return ''.join(x.text() for x in self.items)\n"
+        "    @classmethod\n    def build(cls, n):\n        return cls.build(n - 1) if n else cls()\n"
+    )
+    assert recursive_functions(source) == ["A.build", "A.down", "fact", "walk.<locals>.rec"]

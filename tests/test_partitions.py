@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,67 @@ def skew_column_counts(beta: Partition, gamma: Partition) -> dict[int, int]:
         for col in range(gamma.part_at(i) + 1, b + 1):
             counts[col] = counts.get(col, 0) + 1
     return counts
+
+
+def recursive_all_partitions(max_weight: int) -> list[Partition]:
+    """Reference: every partition of weight 0..max_weight, depth first
+    with larger parts first, by recursion."""
+    out = [Partition()]
+
+    def rec(remaining: int, cap: int, acc: list[int]):
+        for p in range(min(cap, remaining), 0, -1):
+            acc.append(p)
+            out.append(Partition(tuple(acc)))
+            rec(remaining - p, p, acc)
+            acc.pop()
+
+    rec(max_weight, max_weight, [])
+    return out
+
+
+def recursive_subpartitions(beta: Partition) -> list[Partition]:
+    """Reference: every partition contained in beta, in the same order,
+    by recursion."""
+    out: list[Partition] = []
+
+    def rec(i: int, cap: int, acc: list[int]):
+        out.append(Partition(tuple(acc)))
+        if i >= len(beta.parts):
+            return
+        for p in range(min(cap, beta.parts[i]), 0, -1):
+            acc.append(p)
+            rec(i + 1, p, acc)
+            acc.pop()
+
+    rec(0, beta.max_part, [])
+    return out
+
+
+def test_partition_walk_matches_the_recursive_reference_in_order():
+    for w in range(13):
+        assert all_partitions(w) == recursive_all_partitions(w), w
+    betas = recursive_all_partitions(10)
+    assert len(betas) == 139
+    for beta in betas:
+        assert subpartitions(beta) == recursive_subpartitions(beta), beta
+
+
+def test_partition_walk_takes_more_parts_than_the_recursion_limit():
+    column = Partition((1,) * 1500)
+    subs = subpartitions(column)
+    assert len(subs) == 1501
+    assert subs == [Partition((1,) * k) for k in range(1501)]
+
+
+def test_partition_walk_leaves_no_cyclic_garbage():
+    gc.disable()
+    try:
+        gc.collect()
+        subpartitions(Partition((4, 3, 2, 1)))
+        all_partitions(6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_weight_examples():
