@@ -26,4 +26,4 @@ class NotComparable(ArcDegError):
 
 
 class InternalInvariantViolation(ArcDegError):
-    """A search that is guaranteed to succeed came up empty."""
+    """An invariant that the algorithms guarantee does not hold."""

@@ -43,8 +43,7 @@ what gives the pair's band cell hom delta 0.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .objects import B2, P1, Indecomposable, S2Object, object_type, require_same_type
@@ -176,13 +175,8 @@ def hom_leq(y: S2Object, z: S2Object) -> bool:
     return min(delta_profile(y, z), default=0) >= 0
 
 
-@dataclass(frozen=True)
-class MeshViolation:
-    ell: int
-    t: int
-    label: Indecomposable
-    mult_delta: int
-    mesh_value: int
+# one violated band cell of the mesh identity
+MeshViolation = namedtuple("MeshViolation", "ell t label mult_delta mesh_value")
 
 
 def _band_label(ell: int, t: int) -> Indecomposable | None:

@@ -23,10 +23,10 @@ def lr_coefficient(alpha: Partition, gamma: Partition, beta: Partition) -> int:
     # row, so both the semistandard checks and the lattice prefix check
     # look only at already filled cells.
     cells: list[tuple[int, int]] = []
-    for i, b in enumerate(beta.parts):
+    for i, b in enumerate(beta):
         g = gamma.part_at(i)
         cells.extend((i, j) for j in range(b - 1, g - 1, -1))
-    k = len(alpha.parts)
+    k = len(alpha)
     fill: dict[tuple[int, int], int] = {}
     counts = [0] * (k + 1)
     # depth-first over the cells without recursion, so the depth is not
@@ -43,7 +43,7 @@ def lr_coefficient(alpha: Partition, gamma: Partition, beta: Partition) -> int:
             v = max(v, fill.get((i - 1, j), 0) + 1)
             high = fill.get((i, j + 1), k)
             # the content stays within alpha and the reading word a lattice word
-            while v <= high and (counts[v] >= alpha.parts[v - 1] or (v > 1 and counts[v] >= counts[v - 1])):
+            while v <= high and (counts[v] >= alpha[v - 1] or (v > 1 and counts[v] >= counts[v - 1])):
                 v += 1
             if v <= high:
                 fill[cells[pos]] = v

@@ -32,13 +32,13 @@ dimensions and everything the verification sweep reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple
 
 from . import geometry
-from .errors import MoveNotApplicable
+from .errors import InternalInvariantViolation, MoveNotApplicable
 from .objects import (
     B2,
     P1,
@@ -84,7 +84,6 @@ _MOVE_EDITS = {
 }
 
 
-@dataclass(frozen=True)
 class Move:
     """A tagged down-move with its point parameters.
 
@@ -92,22 +91,34 @@ class Move:
     three points m > r > s, kind E takes two points m > r.  An A move
     with n = r + 1 produces a decomposable nested arc; it acts on the
     diagram like any other A move and only its sequence witness differs.
+    A move is not a tuple: JSON output writes it through its text form.
     """
 
-    kind: str
-    points: tuple[int, ...]
+    __slots__ = ("kind", "points")
 
-    def __post_init__(self):
-        need = MOVE_ARITY.get(self.kind)
+    def __init__(self, kind: str, points: tuple[int, ...]):
+        need = MOVE_ARITY.get(kind)
         if need is None:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        pts = self.points
-        if len(pts) != need:
-            raise ValueError(f"move {self.kind} takes {need} points, got {pts}")
-        if any(p < 1 for p in pts):
-            raise ValueError(f"move points must be >= 1, got {pts}")
-        if list(pts) != sorted(pts, reverse=True) or len(set(pts)) != need:
-            raise ValueError(f"move {self.kind}{pts} needs strictly decreasing points")
+            raise ValueError(f"unknown move kind {kind!r}")
+        if len(points) != need:
+            raise ValueError(f"move {kind} takes {need} points, got {points}")
+        if any(p < 1 for p in points):
+            raise ValueError(f"move points must be >= 1, got {points}")
+        if list(points) != sorted(points, reverse=True) or len(set(points)) != need:
+            raise ValueError(f"move {kind}{points} needs strictly decreasing points")
+        self.kind = kind
+        self.points = points
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.points))
+
+    def __repr__(self) -> str:
+        return f"Move(kind={self.kind!r}, points={self.points!r})"
 
     @property
     def display_kind(self) -> str:
@@ -249,8 +260,10 @@ def region(move: Move) -> Callable[[Indecomposable], bool]:
 def _down_closure(arcs, poles) -> frozenset:
     """Every (arcs, poles) reachable from these by down-moves, the start
     included: one entry per recently queried start, found by an
-    explicit-stack search (moves leave loops alone)."""
+    explicit-stack search (moves leave loops alone).  Every move keeps
+    the point count 2·arcs + poles; a state with another count raises."""
     start = (arcs, poles)
+    count = 2 * len(arcs) + len(poles)
     reach = {start}
     stack = [start]
     while stack:
@@ -258,6 +271,9 @@ def _down_closure(arcs, poles) -> frozenset:
         for kind, pts in _move_candidates(arcs, poles):
             nxt = _apply(kind, pts, arcs, poles)
             if nxt not in reach:
+                if 2 * len(nxt[0]) + len(nxt[1]) != count:
+                    state = ArcDiagram(arcs, poles).to_text()
+                    raise InternalInvariantViolation(f"{Move(kind, pts)} changes the point count of {state}")
                 reach.add(nxt)
                 stack.append(nxt)
     return frozenset(reach)
@@ -271,15 +287,11 @@ def arc_leq(y: S2Object, z: S2Object) -> bool:
     return dy.loops == dz.loops and (dy.arcs, dy.poles) in _down_closure(dz.arcs, dz.poles)
 
 
-class TypeGraph(NamedTuple):
-    """The record of one type: its objects and one column entry per
-    object id, its position in ``nodes``."""
-
-    nodes: tuple[S2Object, ...]
-    diagrams: tuple[ArcDiagram, ...]
-    crossings: tuple[int, ...]
-    succ: tuple[tuple[int, ...], ...]  # sorted ids of move results
-    moves: tuple[int, ...]  # down-moves; moves[i] - len(succ[i]) leave nodes
+# the record of one type: its objects and one column entry per object id,
+# its position in ``nodes``: the diagram, the crossings, the sorted ids of
+# the move results (``succ``) and the down-move count (``moves``), of
+# which ``moves[i] - len(succ[i])`` leave nodes
+TypeGraph = namedtuple("TypeGraph", "nodes diagrams crossings succ moves")
 
 
 def _code(w: int, arcs, poles, loops=()) -> int:
@@ -417,8 +429,10 @@ def hasse_dot(beta: Partition, gamma: Partition) -> str:
     graph = _type_graph(beta, gamma)
     lines = ["digraph hasse {", "  rankdir=TB;", "  node [shape=box];"]
     dims = _node_dims(graph, beta, gamma)
+    # one text per subspace type: the types are few, the nodes many
+    alpha_text = {alpha: alpha.to_text() or "()" for alpha in {a for a, _ in dims}}
     for i, (d, x, (alpha, dim)) in enumerate(zip(graph.diagrams, graph.crossings, dims)):
-        label = f"{d.to_text()}\\nalpha={alpha.to_text() or '()'} x={x} dim={dim}"
+        label = f"{d.to_text()}\\nalpha={alpha_text[alpha]} x={x} dim={dim}"
         lines.append(f'  n{i} [label="{label}"];')
     lines += [f"  n{i} -> n{j};" for i, j in _cover_ids(graph)]
     lines.append("}")

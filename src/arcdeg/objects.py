@@ -20,13 +20,14 @@ one arc per ``B2(m, r)``, one arc (m, m-1) per ``P2(m) + P0(m-1)`` pair,
 one pole per ``P1``, and one loop per unpaired ``P2``; ``P0`` summands
 are invisible.
 
-Summands, arc diagrams and objects are tuples that compare and hash
-equal to their plain tuples, ``(kind, m, r)``, ``(arcs, poles, loops)``
-and the summands in canonical order, so each is its own key in every
-table.  The constructors check summands and sort diagram groups and
-object summands; ``enumerate_objects``, whose summands come sorted,
-builds objects with ``tuple.__new__``, the one bypass, and the library
-never calls the namedtuple ``_make`` or ``_replace``, which skip both.
+Summands, arc diagrams and objects, like the partitions of their
+types, are tuples that compare and hash equal to their plain tuples,
+``(kind, m, r)``, ``(arcs, poles, loops)`` and the summands in
+canonical order, so each is its own key in every table.  The
+constructors check summands and sort diagram groups and object
+summands; ``enumerate_objects``, whose summands come sorted, builds
+objects with ``tuple.__new__``, the one bypass, and the library never
+calls the namedtuple ``_make`` or ``_replace``, which skip both.
 Objects are parsed from and printed as ``+``-joined text; diagrams are
 only printed, since no command reads one.
 
@@ -286,7 +287,7 @@ def object_of_diagram(diagram: ArcDiagram, beta: Partition, gamma: Partition) ->
     summands.extend(P2(q) for q in diagram.loops)
     summands.extend(P1(p) for p in diagram.poles)
 
-    remaining = list(beta.parts)
+    remaining = list(beta)
     for s in summands:
         for part in s.ambient_parts():
             try:
@@ -360,7 +361,7 @@ def enumerate_objects(beta: Partition, gamma: Partition | None = None) -> list[S
     # depth-first over the ambient parts, largest first; an explicit stack
     # because a type may have more parts than the interpreter's recursion
     # limit.  Without gamma, the second entry collects the quotient parts.
-    stack = [(beta.parts, () if gamma is None else gamma.parts, (), None)]
+    stack = [(beta, () if gamma is None else gamma, (), None)]
     while stack:
         beta_rem, gamma_rem, acc, prev = stack.pop()
         if not beta_rem:

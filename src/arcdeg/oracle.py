@@ -13,20 +13,18 @@ column.  No floating point is involved anywhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import isqrt
 
 from .objects import S2Object
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """An integer matrix with ``ncols`` columns, stored as one dict per
-    row that maps a column index to its nonzero entry."""
+class SparseMatrix(namedtuple("SparseMatrix", "rows ncols")):
+    """An integer matrix with ``ncols`` columns, stored as ``rows``, one
+    dict per row that maps a column index to its nonzero entry."""
 
-    rows: tuple[dict[int, int], ...]
-    ncols: int
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -43,8 +41,7 @@ def _jordan_nilpotent(parts: Sequence[int]) -> SparseMatrix:
     return SparseMatrix(tuple(rows), len(rows))
 
 
-@dataclass(frozen=True)
-class RealizedObject:
+class RealizedObject(namedtuple("RealizedObject", "sub_op amb_op embedding")):
     """Concrete 0/1 matrices for one object.
 
     ``sub_op`` and ``amb_op`` are the nilpotent operators on the subspace
@@ -52,9 +49,7 @@ class RealizedObject:
     between them.
     """
 
-    sub_op: SparseMatrix
-    amb_op: SparseMatrix
-    embedding: SparseMatrix
+    __slots__ = ()
 
     @property
     def sub_dim(self) -> int:

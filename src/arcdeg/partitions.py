@@ -1,41 +1,40 @@
 """Integer partitions and the small amount of partition arithmetic the
 package needs: weights, moments, containment and the column-strip test.
 
-Partitions are stored dense and canonical: weakly decreasing, no zero
-parts.  Every constructor normalizes, so two equal multisets of parts
-always compare equal.
+A partition is the tuple of its parts, stored dense and canonical:
+weakly decreasing, no zero parts.  The constructor normalizes, so two
+equal multisets of parts always compare equal, and a partition compares,
+hashes and sorts like the plain tuple of its parts, its own key in every
+table.  Callers read the parts from the tuple itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import TypeMismatch
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(tuple):
     """A weakly decreasing sequence of positive integers (possibly empty).
 
     The constructor accepts parts in any order and drops zeros, so
     ``Partition((1, 3, 0, 3))`` equals ``Partition((3, 3, 1))``.
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, parts=()):
         cleaned = []
-        for p in self.parts:
+        for p in parts:
             if type(p) is not int or p < 0:
                 raise ValueError(f"partition parts must be nonnegative integers, got {p!r}")
             if p > 0:
                 cleaned.append(p)
         cleaned.sort(reverse=True)
-        object.__setattr__(self, "parts", tuple(cleaned))
+        return tuple.__new__(cls, cleaned)
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
-        return cls(tuple(parts))
+        return cls(parts)
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -46,33 +45,30 @@ class Partition:
         text = text.strip()
         if not text:
             return cls()
-        return cls(tuple(int(tok) for tok in text.split(",")))
+        return cls([int(tok) for tok in text.split(",")])
 
     def to_text(self) -> str:
-        return ",".join(str(p) for p in self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
+        return ",".join(str(p) for p in self)
 
     def part_at(self, i: int) -> int:
         """The ``i``-th part (0-based), or 0 past the end."""
-        return self.parts[i] if 0 <= i < len(self.parts) else 0
+        return self[i] if 0 <= i < len(self) else 0
 
     @property
     def max_part(self) -> int:
-        return self.parts[0] if self.parts else 0
+        return self[0] if self else 0
 
     def weight(self) -> int:
         """Sum of all parts."""
-        return sum(self.parts)
+        return sum(self)
 
     def moment(self) -> int:
         """Weighted sum where the i-th largest part counts with weight i - 1."""
-        return sum(p * i for i, p in enumerate(self.parts))
+        return sum(p * i for i, p in enumerate(self))
 
     def contains(self, other: "Partition") -> bool:
         """Componentwise containment: every part of ``other`` fits under this one."""
-        return all(other.parts[i] <= self.part_at(i) for i in range(len(other.parts)))
+        return all(other[i] <= self.part_at(i) for i in range(len(other)))
 
 
 def require_contains(beta: Partition, gamma: Partition) -> None:
@@ -88,4 +84,4 @@ def is_column_strip(beta: Partition, gamma: Partition) -> bool:
     Polynomials*, I.1).  Raises :class:`TypeMismatch` unless gamma is
     contained in beta."""
     require_contains(beta, gamma)
-    return all(gamma.part_at(i) >= b for i, b in enumerate(beta.parts[1:]))
+    return all(gamma.part_at(i) >= b for i, b in enumerate(beta[1:]))

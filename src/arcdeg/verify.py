@@ -36,7 +36,7 @@ pair by pair and are the tests' reference for both tables.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import le
 
 from .geometry import _orbit_dim, aut_degree
@@ -89,17 +89,17 @@ def all_partitions(max_weight: int) -> list[Partition]:
 
 def subpartitions(beta: Partition) -> list[Partition]:
     """Every partition contained in beta."""
-    return _partitions_below(beta.parts, beta.weight())
+    return _partitions_below(beta, beta.weight())
 
 
-@dataclass
 class SweepReport:
-    types_seen: int = 0
-    types_realizable: int = 0
-    objects_total: int = 0
-    pairs_checked: int = 0
-    move_edges: int = 0
-    failures: dict[str, list[str]] = field(default_factory=dict)
+    def __init__(self):
+        self.types_seen = 0
+        self.types_realizable = 0
+        self.objects_total = 0
+        self.pairs_checked = 0
+        self.move_edges = 0
+        self.failures: dict[str, list[str]] = {}
 
     def fail(self, kind: str, message: str):
         self.failures.setdefault(kind, []).append(message)
@@ -139,6 +139,12 @@ def equivalence_sweep(max_weight: int) -> SweepReport:
     return report
 
 
+@lru_cache(maxsize=32)
+def _picket_probes(max_part: int) -> tuple[Indecomposable, ...]:
+    """The P0 and P2 probes of the types with this largest part."""
+    return tuple([P0(m) for m in range(1, max_part + 2)] + [P2(m) for m in range(2, max_part + 2)])
+
+
 def _check_type(report: SweepReport, beta: Partition, gamma: Partition, graph: TypeGraph):
     """Every per-type check on the record of one realizable type."""
     objects = graph.nodes
@@ -146,8 +152,9 @@ def _check_type(report: SweepReport, beta: Partition, gamma: Partition, graph: T
     report.objects_total += len(objects)
     report.move_edges += sum(graph.moves)
     dims = _node_dims(graph, beta, gamma)
-    probes = [P0(m) for m in range(1, beta.max_part + 2)]
-    probes += [P2(m) for m in range(2, beta.max_part + 2)]
+    # the objects of one subspace type share both automorphism degrees
+    auts = {alpha: aut_degree(alpha) + aut_degree(beta) for alpha in {a for a, _ in dims}}
+    probes = _picket_probes(beta.max_part)
     picket_rows = _hom_rows(probes, objects)
     first = objects[0]
     for i, (obj, d, homs, (alpha, dim)) in enumerate(zip(objects, graph.diagrams, picket_rows, dims)):
@@ -159,8 +166,7 @@ def _check_type(report: SweepReport, beta: Partition, gamma: Partition, graph: T
         # orbit-stabilizer: the stabilizer of the embedding is Aut(obj),
         # an open subset of End(obj); the orbit side reads the record's
         # crossings, the stabilizer side the hom table
-        auts = aut_degree(alpha) + aut_degree(beta)
-        if _orbit_dim(alpha, beta, gamma, graph.crossings[i]) != auts - hom_obj(obj, obj):
+        if _orbit_dim(alpha, beta, gamma, graph.crossings[i]) != auts[alpha] - hom_obj(obj, obj):
             report.fail("dimension-identity", obj.to_text())
         if graph.moves[i] != len(graph.succ[i]) or any(dims[j][1] <= dim for j in graph.succ[i]):
             # name each failing move, in down_moves order
@@ -201,7 +207,7 @@ def random_same_type_pairs(count: int, max_weight: int, seed: int):
     """Deterministic stream of (y, z) pairs of equal type with the
     ambient weight bounded; used by the randomized mesh check."""
     rng = random.Random(seed)
-    betas = [p for p in all_partitions(max_weight) if p.parts]
+    betas = [p for p in all_partitions(max_weight) if p]
     cache: dict[tuple[Partition, Partition], list[S2Object]] = {}
     produced = 0
     while produced < count:

@@ -36,7 +36,7 @@ def iter_types(max_weight: int):
     from arcdeg.verify import all_partitions, subpartitions
 
     for beta in all_partitions(max_weight):
-        if beta.parts:
+        if beta:
             yield from ((beta, gamma) for gamma in subpartitions(beta))
 
 

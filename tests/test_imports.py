@@ -13,9 +13,15 @@ classmethod counts as read when one of those sources reads it through
 its class: as ``Cls.name`` (or ``module.Cls.name``) anywhere, or as
 ``cls.name`` inside the class.  No library function, nested or method,
 calls itself, so no input meets the interpreter's recursion limit.
+No library code writes through ``object.__setattr__``, and a cold import
+of the package, its sweep and its command line loads none of
+``dataclasses``, ``inspect`` and ``typing``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -253,3 +259,36 @@ def test_recursion_check_sees_nested_functions_and_methods():
         "    @classmethod\n    def build(cls, n):\n        return cls.build(n - 1) if n else cls()\n"
     )
     assert recursive_functions(source) == ["A.build", "A.down", "fact", "walk.<locals>.rec"]
+
+
+def object_setattr_reads(source: str) -> list[int]:
+    """Line of each read of ``object.__setattr__``, in order."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+
+
+def test_library_writes_nothing_through_object_setattr():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) >= 10
+    found = {module: object_setattr_reads(source) for module, source in sources.items()}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_object_setattr_check_sees_reads_only():
+    source = "x = 1\nobject.__setattr__(x, 'a', 1)\nsetattr = object.__setattr__\nx.__setattr__('b', 2)\n"
+    assert object_setattr_reads(source) == [2, 3]
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    # -S skips site, so only what the package itself imports is loaded
+    heavy = ("dataclasses", "inspect", "typing")
+    code = f"import sys, arcdeg, arcdeg.verify, arcdeg.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []

@@ -18,12 +18,12 @@ def brute_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
         return 0
     cells = [
         (i, j)
-        for i, b in enumerate(beta.parts)
+        for i, b in enumerate(beta)
         for j in range(gamma.part_at(i), b)
     ]
     if not cells:
         return 1
-    k = len(alpha.parts)
+    k = len(alpha)
     count = 0
     for values in product(range(1, k + 1), repeat=len(cells)):
         fill = dict(zip(cells, values))
@@ -40,10 +40,10 @@ def brute_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
         content = [0] * (k + 1)
         for v in values:
             content[v] += 1
-        if content[1:] != list(alpha.parts):
+        if content[1:] != list(alpha):
             continue
         word = []
-        for i in range(len(beta.parts)):
+        for i in range(len(beta)):
             row = sorted((j for (r, j) in cells if r == i), reverse=True)
             word.extend(fill[(i, j)] for j in row)
         seen = [0] * (k + 2)
@@ -137,8 +137,8 @@ def recursive_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
     recursive call per skew cell."""
     if not beta.contains(gamma) or beta.weight() != gamma.weight() + alpha.weight():
         return 0
-    cells = [(i, j) for i, b in enumerate(beta.parts) for j in range(b - 1, gamma.part_at(i) - 1, -1)]
-    k = len(alpha.parts)
+    cells = [(i, j) for i, b in enumerate(beta) for j in range(b - 1, gamma.part_at(i) - 1, -1)]
+    k = len(alpha)
     fill: dict[tuple[int, int], int] = {}
     counts = [0] * (k + 1)
 
@@ -148,7 +148,7 @@ def recursive_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
         i, j = cells[pos]
         total = 0
         for v in range(1, k + 1):
-            if counts[v] + 1 > alpha.parts[v - 1]:
+            if counts[v] + 1 > alpha[v - 1]:
                 continue
             if v > 1 and counts[v] + 1 > counts[v - 1]:
                 continue

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arcdeg.errors import MoveNotApplicable, TypeMismatch
+from arcdeg import moves
+from arcdeg.errors import InternalInvariantViolation, MoveNotApplicable, TypeMismatch
 from arcdeg.homcalc import delta_hom, hom_obj, test_set as hom_test_set
 from arcdeg.moves import (
     Move,
@@ -65,6 +68,18 @@ def test_move_validation():
         Move("B", (1, 2, 3))
     assert Move("A", (6, 4, 2, 1)).display_kind == "A"
     assert Move("A", (6, 4, 3, 2)).display_kind == "A'"
+
+
+def test_move_equality_hash_and_repr():
+    move = Move("A", (6, 4, 2, 1))
+    assert move == Move("A", (6, 4, 2, 1)) and hash(move) == hash(("A", (6, 4, 2, 1)))
+    assert move != Move("C", (6, 4, 2, 1)) and move != Move("A", (7, 4, 2, 1))
+    # a move is no tuple, so it never equals one and JSON writes its text
+    assert move != ("A", (6, 4, 2, 1)) and not isinstance(move, tuple)
+    assert json.dumps([move], default=str) == '["A(6,4,2,1)"]'
+    assert len({move, Move("A", (6, 4, 2, 1)), Move("E", (2, 1))}) == 2
+    assert repr(move) == "Move(kind='A', points=(6, 4, 2, 1))"
+    assert str(move) == "A(6,4,2,1)"
 
 
 def test_down_moves_contains_the_pole_slide():
@@ -154,8 +169,8 @@ def test_ses_witness_type_additivity(move):
     bu, gu = object_type(u)
     bv, gv = object_type(v)
     bm, gm = object_type(mid)
-    assert Partition(bu.parts + bv.parts) == bm
-    assert Partition(gu.parts + gv.parts) == gm
+    assert Partition(bu + bv) == bm
+    assert Partition(gu + gv) == gm
     assert alpha_of(u).weight() + alpha_of(v).weight() == alpha_of(mid).weight()
     # left exactness bounds the middle by the ends
     beta = bm
@@ -273,6 +288,29 @@ def test_down_closure_is_keyed_by_arcs_and_poles():
     assert (e.arcs, e.poles) in closure
     assert all(type(a) is tuple and type(p) is tuple for a, p in closure)
     assert {(x.arcs, x.poles) for _, x in down_moves(d)} <= closure
+
+
+def test_arc_order_search_stops_when_a_move_changes_the_point_count(monkeypatch):
+    real = moves._apply
+
+    def keep_first_removed_piece(kind, pts, arcs, poles):
+        arcs_after, poles_after = real(kind, pts, arcs, poles)
+        arcs_out, poles_out, _, _ = moves._MOVE_PIECES[kind]
+        if arcs_out:
+            i, j = arcs_out[0]
+            return tuple(sorted(arcs_after + ((pts[i], pts[j]),), reverse=True)), poles_after
+        return arcs_after, tuple(sorted(poles_after + (pts[poles_out[0]],), reverse=True))
+
+    z = S2Object.from_text("B(5,1)+P1(4)+P1(3)+P1(2)")
+    monkeypatch.setattr(moves, "_apply", keep_first_removed_piece)
+    _down_closure.cache_clear()
+    message = r"^B\(5,4,1\) changes the point count of arcs:5-1; poles:4,3,2; loops:$"
+    try:
+        # without the check, this search grows until memory runs out
+        with pytest.raises(InternalInvariantViolation, match=message):
+            arc_leq(z, z)
+    finally:
+        _down_closure.cache_clear()
 
 
 def test_hasse_five_element_poset():

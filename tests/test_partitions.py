@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,7 @@ def skew_column_counts(beta: Partition, gamma: Partition) -> dict[int, int]:
     each column (1-based), for gamma contained in beta; columns without
     boxes are omitted."""
     counts: dict[int, int] = {}
-    for i, b in enumerate(beta.parts):
+    for i, b in enumerate(beta):
         for col in range(gamma.part_at(i) + 1, b + 1):
             counts[col] = counts.get(col, 0) + 1
     return counts
@@ -45,9 +46,9 @@ def recursive_subpartitions(beta: Partition) -> list[Partition]:
 
     def rec(i: int, cap: int, acc: list[int]):
         out.append(Partition(tuple(acc)))
-        if i >= len(beta.parts):
+        if i >= len(beta):
             return
-        for p in range(min(cap, beta.parts[i]), 0, -1):
+        for p in range(min(cap, beta[i]), 0, -1):
             acc.append(p)
             rec(i + 1, p, acc)
             acc.pop()
@@ -131,8 +132,8 @@ def test_is_column_strip_matches_column_counts_up_to_weight_12():
 
 
 def test_normalization_and_text():
-    assert Partition.of(0, 3, 1, 3).parts == (3, 3, 1)
-    assert Partition.from_text("4,3,3,2,1").parts == (4, 3, 3, 2, 1)
+    assert tuple(Partition.of(0, 3, 1, 3)) == (3, 3, 1)
+    assert tuple(Partition.from_text("4,3,3,2,1")) == (4, 3, 3, 2, 1)
     assert Partition.from_text("") == Partition()
     assert Partition.of(4, 3).to_text() == "4,3"
     assert Partition().to_text() == ""
@@ -146,10 +147,35 @@ def test_partition_parts_are_integers():
             Partition(parts)
 
 
+def test_bad_parts_are_rejected_with_the_offending_part():
+    for parts, shown in (((3, -1), "-1"), ((True, 2), "True"), ((2.5,), "2.5"), (("3",), "'3'")):
+        with pytest.raises(ValueError, match=rf"^partition parts must be nonnegative integers, got {re.escape(shown)}$"):
+            Partition(parts)
+    with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
+        Partition.from_text("3,x")
+
+
+def test_partition_is_the_tuple_of_its_parts_from_every_constructor():
+    walked = all_partitions(10)
+    assert len(walked) == 139  # partitions of 0..10: 1 + 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22 + 30 + 42
+    for p in walked:
+        parts = tuple(p)
+        built = [Partition(parts), Partition((0,) + parts[::-1]), Partition.of(*parts), Partition.from_text(p.to_text())]
+        for q in built:
+            assert type(q) is Partition
+            assert q == parts and hash(q) == hash(parts)
+    plain = [tuple(p) for p in walked]
+    assert [tuple(p) for p in sorted(walked)] == sorted(plain)
+    for p, x in zip(walked, plain):
+        for q, y in zip(walked, plain):
+            assert (p < q, p == q, p <= q) == (x < y, x == y, x <= y)
+    assert len(set(walked) | set(plain)) == len(walked)
+
+
 @given(parts_lists)
 def test_constructor_canonicalizes(parts):
     p = Partition(tuple(parts))
-    assert list(p.parts) == sorted((x for x in parts if x > 0), reverse=True)
+    assert list(p) == sorted((x for x in parts if x > 0), reverse=True)
     assert Partition.from_text(p.to_text()) == p
 
 

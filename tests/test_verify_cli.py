@@ -36,7 +36,7 @@ MONOTONICITY_PATCH = """
 from arcdeg import geometry
 dims = geometry._stratum_dim_less_crossings
 geometry._stratum_dim_less_crossings = lambda alpha, beta, gamma: (
-    dims(alpha, beta, gamma) + 2 * alpha.parts.count(1)
+    dims(alpha, beta, gamma) + 2 * alpha.count(1)
 )
 """
 
@@ -352,7 +352,7 @@ def test_sweep_monotonicity_fault_report():
     assert counts == [229, 195, 234, 320, 41]
     # reference: every move of every object, with the faulty dimension
     def dim(o):
-        return stratum_dim(o) + 2 * alpha_of(o).parts.count(1)
+        return stratum_dim(o) + 2 * alpha_of(o).count(1)
 
     expected = []
     for beta, gamma in iter_types(6):
