@@ -45,7 +45,6 @@ from .objects import (
     ArcDiagram,
     Indecomposable,
     S2Object,
-    alpha_of,
     arc_summands,
     crossings,
     diagram_of_object,
@@ -408,15 +407,15 @@ def extrema(beta: Partition, gamma: Partition) -> tuple[list[S2Object], list[S2O
 
 def _node_dims(graph: TypeGraph, beta: Partition, gamma: Partition) -> list[tuple[Partition, int]]:
     """Per node, its subspace type alpha and its stratum dimension."""
-    # alpha has a 2 per arc or loop and a 1 per pole, so it and the
-    # crossing-free part of the dimension are shared by each such class;
-    # the formula is read from its module, so a patched one reaches here
+    # alpha has a 2 per arc or loop and a 1 per pole (alpha_of's rule), so
+    # it and the crossing-free part of the dimension are shared by each such
+    # class; the formula is read from its module, so a patched one reaches here
     by_class: dict[tuple[int, int], tuple[Partition, int]] = {}
     out = []
-    for o, (arcs, poles, loops), x in zip(graph.nodes, graph.diagrams, graph.crossings):
+    for (arcs, poles, loops), x in zip(graph.diagrams, graph.crossings):
         key = (len(arcs) + len(loops), len(poles))
         if key not in by_class:
-            alpha = alpha_of(o)
+            alpha = Partition((2,) * key[0] + (1,) * key[1])
             by_class[key] = (alpha, geometry._stratum_dim_less_crossings(alpha, beta, gamma))
         alpha, uncrossed_dim = by_class[key]
         out.append((alpha, uncrossed_dim - x))

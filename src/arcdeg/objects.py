@@ -34,10 +34,11 @@ only printed, since no command reads one.
 An object's (ambient, quotient) type is derived once, by the first
 ``object_type`` call, and kept in the object's ``_type`` attribute,
 which takes no part in equality, hashing, ``repr`` or the text form;
-``enumerate_objects`` sets it to the type it was given or, when
-enumerating a whole ambient type, to the quotient type it derives.
-Each enumeration builds each summand once, with its sort key and
-quotient parts, and sorts the objects once, on those sort keys.
+``enumerate_objects`` and ``object_of_diagram`` set it to the type they
+were given or, when enumerating a whole ambient type, to the quotient
+type derived.  Each enumeration builds one role list per part value, so
+each summand once, with its sort key and quotient parts, and sorts the
+objects once, on those sort keys.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class S2Object(tuple):
     the kinds by name (B2 < P0 < P1 < P2) rather than canonically.
     """
 
-    # (ambient, quotient) type, set by enumerate_objects or the first object_type call
+    # (ambient, quotient) type, set by the builder or the first object_type call
     _type: tuple[Partition, Partition] | None = None
 
     def __new__(cls, summands: Iterable[Indecomposable] = ()):
@@ -220,12 +221,10 @@ def object_type(obj: S2Object) -> tuple[Partition, Partition]:
     """The (ambient, quotient) pair of Jordan types of an object,
     computed once per object and kept on it."""
     if obj._type is None:
-        beta: list[int] = []
-        gamma: list[int] = []
-        for s in obj:
-            beta.extend(s.ambient_parts())
-            gamma.extend(s.quotient_parts())
-        obj._type = (Partition(tuple(beta)), Partition(tuple(gamma)))
+        obj._type = (
+            Partition([p for s in obj for p in s.ambient_parts()]),
+            Partition([p for s in obj for p in s.quotient_parts()]),
+        )
     return obj._type
 
 
@@ -278,12 +277,11 @@ def object_of_diagram(diagram: ArcDiagram, beta: Partition, gamma: Partition) ->
 
     Arcs, poles and loops determine their summands directly; every
     ambient part of beta not consumed that way becomes an invisible
-    ``P0``.  Raises :class:`InconsistentDiagram` when the leftover parts
-    do not exist in beta or the resulting quotient type is not gamma.
+    ``P0``.  Raises :class:`InconsistentDiagram` when the diagram needs
+    a part that beta lacks or the resulting quotient type is not gamma.
+    The object keeps (beta, gamma) as its type.
     """
-    summands: list[Indecomposable] = []
-    for m, r in diagram.arcs:
-        summands.extend(arc_summands(m, r))
+    summands = [s for m, r in diagram.arcs for s in arc_summands(m, r)]
     summands.extend(P2(q) for q in diagram.loops)
     summands.extend(P1(p) for p in diagram.poles)
 
@@ -297,13 +295,15 @@ def object_of_diagram(diagram: ArcDiagram, beta: Partition, gamma: Partition) ->
                     f"diagram needs an ambient part {part} not available in {beta.to_text() or '()'}"
                 ) from None
     summands.extend(P0(w) for w in remaining)
-    obj = S2Object(summands)
-    got_beta, got_gamma = object_type(obj)
-    if (got_beta, got_gamma) != (beta, gamma):
+    # every part of beta is used exactly once, so only the quotient can differ
+    got_gamma = Partition([p for s in summands for p in s.quotient_parts()])
+    if got_gamma != gamma:
         raise InconsistentDiagram(
-            f"diagram completes to type ({got_beta.to_text()};{got_gamma.to_text()}), "
+            f"diagram completes to type ({beta.to_text()};{got_gamma.to_text()}), "
             f"not ({beta.to_text()};{gamma.to_text()})"
         )
+    obj = S2Object(summands)
+    obj._type = (beta, gamma)
     return obj
 
 
@@ -333,13 +333,14 @@ def _remove_values(pool: tuple[int, ...], values: tuple[int, ...]) -> tuple[int,
     return tuple(out)
 
 
-def _roles(m: int, rest: tuple[int, ...]):
-    """Choices for the largest remaining ambient part m, in canonical order.
+def _roles(m: int, parts: Iterable[int]):
+    """Choices for an ambient part m, in canonical order: a bipicket to
+    each distinct part r <= m - 2 of parts, then the pickets.
 
     Yields (token, summand); the token orders equal-part choices so each
     multiset of summands is produced exactly once.
     """
-    for r in sorted({p for p in rest if 1 <= p <= m - 2}, reverse=True):
+    for r in sorted({p for p in parts if 1 <= p <= m - 2}, reverse=True):
         yield (0, -r), B2(m, r)
     if m >= 2:
         yield (1, 0), P2(m)
@@ -352,12 +353,13 @@ def enumerate_objects(beta: Partition, gamma: Partition | None = None) -> list[S
     order; the list is empty exactly when the type is unrealizable.
     Without gamma, every object of ambient type beta once, in canonical
     order, its quotient type derived once all its summands are chosen.
-    Role lists are kept per (part, partner values), summands per call."""
+    Each part value m gets one role list per call, with a bipicket to
+    every part of beta at most m - 2; a search node skips the bipickets
+    whose partner part it has already used."""
     found: list[tuple[tuple, S2Object]] = []
     quotients: dict[tuple[int, ...], Partition] = {}
-    roles: dict[tuple[int, tuple[int, ...]], list] = {}
-    # summand -> ((sort key, summand), quotient parts, bipicket partner part)
-    summands: dict[Indecomposable, tuple] = {}
+    # part -> [(token, (sort key, summand), quotient parts, bipicket partner part)]
+    roles: dict[int, list] = {}
     # depth-first over the ambient parts, largest first; an explicit stack
     # because a type may have more parts than the interpreter's recursion
     # limit.  Without gamma, the second entry collects the quotient parts.
@@ -384,20 +386,19 @@ def enumerate_objects(beta: Partition, gamma: Partition | None = None) -> list[S
         if gamma is not None and gamma_rem and gamma_rem[0] > beta_rem[0]:
             continue
         m, rest = beta_rem[0], beta_rem[1:]
-        partners = tuple(dict.fromkeys(p for p in rest if p <= m - 2))
-        choices = roles.get((m, partners))
+        choices = roles.get(m)
         if choices is None:
-            choices = roles[m, partners] = [
-                (token, summands.setdefault(s, ((s.sort_key, s), s.quotient_parts(), s.ambient_parts()[1:])))
-                for token, s in _roles(m, partners)
+            choices = roles[m] = [
+                (token, (s.sort_key, s), s.quotient_parts(), s.ambient_parts()[1:]) for token, s in _roles(m, beta)
             ]
-        for token, (pair, quotient, partner) in choices:
+        for token, pair, quotient, partner in choices:
             if prev is not None and prev[0] == m and token < prev[1]:
                 continue
+            # new_rest is None when the bipicket's partner part is no longer in rest
+            new_rest = _remove_values(rest, partner)
             new_gamma = gamma_rem + quotient if gamma is None else _remove_values(gamma_rem, quotient)
-            if new_gamma is None:
+            if new_rest is None or new_gamma is None:
                 continue
-            # the bipicket's partner part r is in rest, by the choice of r
-            stack.append((_remove_values(rest, partner), new_gamma, acc + (pair,), (m, token)))
+            stack.append((new_rest, new_gamma, acc + (pair,), (m, token)))
     found.sort(key=itemgetter(0))
     return [obj for _, obj in found]

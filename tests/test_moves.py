@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from arcdeg import moves
 from arcdeg.errors import InternalInvariantViolation, MoveNotApplicable, TypeMismatch
+from arcdeg.geometry import stratum_dim
 from arcdeg.homcalc import delta_hom, hom_obj, test_set as hom_test_set
 from arcdeg.moves import (
     Move,
     _code,
     _down_closure,
     _move_delta,
+    _node_dims,
     _reach_ids,
     _type_graph,
     _type_table,
@@ -466,6 +468,17 @@ def test_type_graph_matches_down_moves_on_staircase_9():
     graph = _type_graph(beta, gamma)
     assert len(graph.nodes) == 2620
     assert (graph.succ, graph.moves) == _record_from_down_moves(graph.nodes)
+
+
+def test_node_dims_match_alpha_of_and_stratum_dim_per_node():
+    # the record reads alpha off each class key (arcs + loops, poles);
+    # alpha_of and stratum_dim, which read the summands, are the reference
+    staircase_9 = (Partition.of(9, 8, 7, 6, 5, 4, 3, 2, 1), Partition.of(8, 7, 6, 5, 4, 3, 2, 1))
+    for beta, gamma in [*iter_types(8), staircase_9]:
+        graph = _type_graph(beta, gamma)
+        dims = _node_dims(graph, beta, gamma)
+        assert dims == [(alpha_of(o), stratum_dim(o)) for o in graph.nodes]
+        assert all(type(alpha) is Partition for alpha, _ in dims)
 
 
 def test_hasse_matches_reference_up_to_weight_8():

@@ -124,11 +124,13 @@ def test_object_of_diagram_examples():
     assert object_of_diagram(
         ArcDiagram(), Partition.of(3, 1), Partition.of(3, 1)
     ) == S2Object.of(P0(3), P0(1))
-    with pytest.raises(InconsistentDiagram):
+    with pytest.raises(InconsistentDiagram) as missing:
         object_of_diagram(ArcDiagram([], [3]), Partition.of(2, 1), Partition.of(1))
-    with pytest.raises(InconsistentDiagram):
+    assert str(missing.value) == "diagram needs an ambient part 3 not available in 2,1"
+    with pytest.raises(InconsistentDiagram) as wrong:
         # parts exist but the quotient type comes out wrong
         object_of_diagram(ArcDiagram([], [2]), Partition.of(2, 1), Partition.of(2))
+    assert str(wrong.value) == "diagram completes to type (2,1;1,1), not (2,1;2)"
 
 
 def test_crossings_examples():
@@ -262,6 +264,10 @@ def test_kept_object_type_matches_a_fresh_computation():
     sources += enumerate_objects(beta, gamma)
     sources += [object_of_diagram(diagram_of_object(o), beta, gamma) for o in enumerate_objects(beta, gamma)]
     sources += [o for b, g in iter_types(6) for o in enumerate_objects(b, g)]
+    # object_of_diagram keeps the type it was given, as enumerate_objects does
+    sources += [
+        object_of_diagram(diagram_of_object(o), b, g) for b, g in iter_types(8) for o in enumerate_objects(b, g)
+    ]
     assert len(sources) > 2
     for obj in sources:
         first = object_type(obj)

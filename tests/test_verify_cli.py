@@ -40,6 +40,18 @@ geometry._stratum_dim_less_crossings = lambda alpha, beta, gamma: (
 )
 """
 
+# the type record's diagrams lose their loops, so the diagram of an
+# object with an unpaired P2 completes to a different quotient type
+DIAGRAM_FAULT = """
+import sys
+from arcdeg import moves, objects
+from arcdeg.objects import ArcDiagram
+diagram = objects.diagram_of_object
+moves.diagram_of_object = lambda o: ArcDiagram(diagram(o).arcs, diagram(o).poles, ())
+from arcdeg.cli import main
+sys.exit(main(["verify", "--beta-max", "4"]))
+"""
+
 SWEEP_REPORT = """
 import json
 from arcdeg.verify import equivalence_sweep
@@ -328,6 +340,15 @@ def test_cli_verify_reports_a_move_that_leaves_the_type():
     assert proc.returncode == 1, proc.stderr
     assert "FAILED move-type" in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_verify_reports_a_diagram_that_completes_to_another_type():
+    # the sweep records every such object as a round-trip failure and goes
+    # on, instead of exiting 2 at the first one as on bad input
+    proc = run_python("-c", DIAGRAM_FAULT)
+    assert proc.returncode == 1, proc.stderr
+    assert "FAILED roundtrip: 10 case(s); first: P2(4)" in proc.stdout.splitlines()
+    assert "error:" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_sweep_move_type_fault_report():
