@@ -13,8 +13,11 @@ lexicographically):
 Each move carries a short exact sequence witness whose middle term is
 the smaller side's replaced summands and whose end terms are the larger
 side's, and a region of test objects on which the hom delta of a pair
-differing by the move alone equals 1.  The reflexive-transitive closure
-of the moves is the arc order.  Moves act on the integer (arcs, poles)
+differing by the move alone equals 1.  Both are read off one row per
+kind in the indices of its points: the pieces it replaces
+(``_MOVE_PIECES``), which fix its arity too, and its region, a row of
+boxes (``_REGIONS``).  The reflexive-transitive closure of the moves
+is the arc order.  Moves act on the integer (arcs, poles)
 tuples of a diagram and never touch its loops.  A point query
 (``arc_leq``) searches the down-closure of one diagram with an explicit
 stack.  A whole type has one record (``TypeGraph``), built once from its
@@ -35,6 +38,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from functools import lru_cache
+from math import inf
 from operator import itemgetter
 
 from . import geometry
@@ -53,16 +57,29 @@ from .objects import (
 )
 from .partitions import Partition
 
-# number of points each move kind takes, in canonical kind order
-MOVE_ARITY = {"A": 4, "B": 3, "C": 4, "D": 3, "E": 2}
-# the pieces each move kind replaces, as indices into its points:
-# (arcs removed, poles removed, arcs added, poles added)
+# the pieces each move kind replaces, as indices into its points, in
+# canonical kind order: (arcs removed, poles removed, arcs added, poles added)
 _MOVE_PIECES = {
     "A": (((0, 2), (1, 3)), (), ((0, 3), (1, 2)), ()),
     "B": (((0, 2),), (1,), ((0, 1),), (2,)),
     "C": (((0, 2), (1, 3)), (), ((0, 1), (2, 3)), ()),
     "D": (((0, 2),), (1,), ((1, 2),), (0,)),
     "E": ((), (0, 1), ((0, 1),), ()),
+}
+# each move kind's region as boxes in the same indices: (summand kind,
+# x.m range, x.r range), a range (i, j) holding pts[i] < v <= pts[j] and
+# None leaving that end open; a P1 box bounds x.m only
+_REGIONS = {
+    "A": (("B2", (1, 0), (3, 2)),),
+    "B": (("B2", (0, None), (2, 1)), ("P1", (2, 1))),
+    "C": (("B2", (0, None), (2, 1)), ("B2", (2, 1), (None, 3)), ("P1", (2, 1))),
+    "D": (("B2", (1, 0), (None, 2)),),
+    "E": (("B2", (0, None), (None, 1)), ("P1", (None, 1))),
+}
+# number of points each move kind takes: one past the largest index its pieces use
+MOVE_ARITY = {
+    kind: 1 + max(max(p) if isinstance(p, tuple) else p for side in pieces for p in side)
+    for kind, pieces in _MOVE_PIECES.items()
 }
 
 
@@ -213,44 +230,21 @@ def ses_witness(move: Move) -> tuple[S2Object, S2Object, S2Object]:
 
 def region(move: Move) -> Callable[[Indecomposable], bool]:
     """The indicator of the test objects on which the hom delta of a
-    unit pair for this move equals 1 (it is 0 elsewhere)."""
-    k, pts = move.kind, move.points
+    unit pair for this move equals 1 (it is 0 elsewhere): the summands
+    inside one of the boxes of its kind's ``_REGIONS`` row."""
+    pts = move.points
 
-    if k == "A":
-        m, n, r, s = pts
+    def ends(lo, hi):
+        return (-inf if lo is None else pts[lo], inf if hi is None else pts[hi])
 
-        def pred(x: Indecomposable) -> bool:
-            return x.kind == "B2" and n < x.m <= m and s < x.r <= r
+    boxes = [(kind, *ends(*m), *(ends(*r[0]) if r else (-inf, inf))) for kind, m, *r in _REGIONS[move.kind]]
 
-    elif k == "B":
-        m, r, s = pts
-
-        def pred(x: Indecomposable) -> bool:
-            if x.kind == "B2":
-                return x.m > m and s < x.r <= r
-            return x.kind == "P1" and s < x.m <= r
-
-    elif k == "C":
-        m, n, r, s = pts
-
-        def pred(x: Indecomposable) -> bool:
-            if x.kind == "B2":
-                return (x.m > m and r < x.r <= n) or (r < x.m <= n and x.r <= s)
-            return x.kind == "P1" and r < x.m <= n
-
-    elif k == "D":
-        m, r, s = pts
-
-        def pred(x: Indecomposable) -> bool:
-            return x.kind == "B2" and r < x.m <= m and x.r <= s
-
-    else:
-        m, r = pts
-
-        def pred(x: Indecomposable) -> bool:
-            if x.kind == "B2":
-                return x.m > m and x.r <= r
-            return x.kind == "P1" and x.m <= r
+    def pred(x: Indecomposable) -> bool:
+        kind, m, r = x
+        for box_kind, m_lo, m_hi, r_lo, r_hi in boxes:
+            if kind == box_kind and m_lo < m <= m_hi and r_lo < r <= r_hi:
+                return True
+        return False
 
     return pred
 

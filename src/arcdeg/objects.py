@@ -334,18 +334,14 @@ def _remove_values(pool: tuple[int, ...], values: tuple[int, ...]) -> tuple[int,
 
 
 def _roles(m: int, parts: Iterable[int]):
-    """Choices for an ambient part m, in canonical order: a bipicket to
-    each distinct part r <= m - 2 of parts, then the pickets.
-
-    Yields (token, summand); the token orders equal-part choices so each
-    multiset of summands is produced exactly once.
-    """
+    """Summands for an ambient part m, in canonical order: a bipicket to
+    each distinct part r <= m - 2 of parts, then the pickets."""
     for r in sorted({p for p in parts if 1 <= p <= m - 2}, reverse=True):
-        yield (0, -r), B2(m, r)
+        yield B2(m, r)
     if m >= 2:
-        yield (1, 0), P2(m)
-    yield (2, 0), P1(m)
-    yield (3, 0), P0(m)
+        yield P2(m)
+    yield P1(m)
+    yield P0(m)
 
 
 def enumerate_objects(beta: Partition, gamma: Partition | None = None) -> list[S2Object]:
@@ -355,10 +351,13 @@ def enumerate_objects(beta: Partition, gamma: Partition | None = None) -> list[S
     order, its quotient type derived once all its summands are chosen.
     Each part value m gets one role list per call, with a bipicket to
     every part of beta at most m - 2; a search node skips the bipickets
-    whose partner part it has already used."""
+    whose partner part it has already used.  Equal parts take their
+    summands in canonical order, so each multiset is produced once: a
+    node skips a summand whose sort key lies below that of the summand
+    chosen for the equal part before it."""
     found: list[tuple[tuple, S2Object]] = []
     quotients: dict[tuple[int, ...], Partition] = {}
-    # part -> [(token, (sort key, summand), quotient parts, bipicket partner part)]
+    # part -> [((sort key, summand), quotient parts, bipicket partner part)]
     roles: dict[int, list] = {}
     # depth-first over the ambient parts, largest first; an explicit stack
     # because a type may have more parts than the interpreter's recursion
@@ -389,16 +388,16 @@ def enumerate_objects(beta: Partition, gamma: Partition | None = None) -> list[S
         choices = roles.get(m)
         if choices is None:
             choices = roles[m] = [
-                (token, (s.sort_key, s), s.quotient_parts(), s.ambient_parts()[1:]) for token, s in _roles(m, beta)
+                ((s.sort_key, s), s.quotient_parts(), s.ambient_parts()[1:]) for s in _roles(m, beta)
             ]
-        for token, pair, quotient, partner in choices:
-            if prev is not None and prev[0] == m and token < prev[1]:
+        for pair, quotient, partner in choices:
+            if prev is not None and prev[0] == m and pair < prev[1]:
                 continue
             # new_rest is None when the bipicket's partner part is no longer in rest
             new_rest = _remove_values(rest, partner)
             new_gamma = gamma_rem + quotient if gamma is None else _remove_values(gamma_rem, quotient)
             if new_rest is None or new_gamma is None:
                 continue
-            stack.append((new_rest, new_gamma, acc + (pair,), (m, token)))
+            stack.append((new_rest, new_gamma, acc + (pair,), (m, pair)))
     found.sort(key=itemgetter(0))
     return [obj for _, obj in found]

@@ -1,4 +1,6 @@
 import json
+from collections.abc import Callable
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +9,12 @@ from hypothesis import strategies as st
 from arcdeg import moves
 from arcdeg.errors import InternalInvariantViolation, MoveNotApplicable, TypeMismatch
 from arcdeg.geometry import stratum_dim
-from arcdeg.homcalc import delta_hom, hom_obj, test_set as hom_test_set
+from arcdeg.homcalc import delta_hom, delta_profile, hom_obj, mesh_defect_report, test_set as hom_test_set
 from arcdeg.moves import (
+    MOVE_ARITY,
     Move,
+    _MOVE_PIECES,
+    _REGIONS,
     _code,
     _down_closure,
     _move_delta,
@@ -33,6 +38,7 @@ from arcdeg.objects import (
     P1,
     P2,
     ArcDiagram,
+    Indecomposable,
     S2Object,
     alpha_of,
     crossings,
@@ -189,6 +195,89 @@ def test_region_matches_unit_delta(move):
     pred = region(move)
     for x in hom_test_set(beta):
         assert delta_hom(smaller, larger, x) == (1 if pred(x) else 0)
+
+
+# the region of each kind written out as its own closure: the reference
+# that the boxes of ``moves._REGIONS`` are compared with
+def _reference_region(move: Move) -> Callable[[Indecomposable], bool]:
+    """The indicator of the test objects on which the hom delta of a
+    unit pair for this move equals 1 (it is 0 elsewhere)."""
+    k, pts = move.kind, move.points
+
+    if k == "A":
+        m, n, r, s = pts
+
+        def pred(x: Indecomposable) -> bool:
+            return x.kind == "B2" and n < x.m <= m and s < x.r <= r
+
+    elif k == "B":
+        m, r, s = pts
+
+        def pred(x: Indecomposable) -> bool:
+            if x.kind == "B2":
+                return x.m > m and s < x.r <= r
+            return x.kind == "P1" and s < x.m <= r
+
+    elif k == "C":
+        m, n, r, s = pts
+
+        def pred(x: Indecomposable) -> bool:
+            if x.kind == "B2":
+                return (x.m > m and r < x.r <= n) or (r < x.m <= n and x.r <= s)
+            return x.kind == "P1" and r < x.m <= n
+
+    elif k == "D":
+        m, r, s = pts
+
+        def pred(x: Indecomposable) -> bool:
+            return x.kind == "B2" and r < x.m <= m and x.r <= s
+
+    else:
+        m, r = pts
+
+        def pred(x: Indecomposable) -> bool:
+            if x.kind == "B2":
+                return x.m > m and x.r <= r
+            return x.kind == "P1" and x.m <= r
+
+    return pred
+
+
+def _moves_up_to(max_point):
+    """Every move with points <= max_point, in canonical order."""
+    return [
+        Move(kind, points)
+        for kind, arity in MOVE_ARITY.items()
+        for points in combinations(range(max_point, 0, -1), arity)
+    ]
+
+
+def test_move_tables_list_the_kinds_in_canonical_order():
+    # random unit-pair streams draw kinds from tuple(MOVE_ARITY), so a
+    # reordered table would re-draw every stream and every report on one
+    assert MOVE_ARITY == {"A": 4, "B": 3, "C": 4, "D": 3, "E": 2}
+    assert list(MOVE_ARITY) == list(_MOVE_PIECES) == list(_REGIONS) == list("ABCDE")
+
+
+def test_region_matches_reference_on_every_move_up_to_10():
+    members = hom_test_set(Partition((12,)))
+    assert len(members) == 78
+    all_moves = _moves_up_to(10)
+    assert len(all_moves) == 705
+    for move in all_moves:
+        pred, reference = region(move), _reference_region(move)
+        assert [pred(x) for x in members] == [reference(x) for x in members], move
+
+
+def test_every_move_up_to_10_has_its_region_and_mesh_identity():
+    # hom is additive over summands, so a unit pair's delta and mesh
+    # report depend on the move alone: the finite move list covers them
+    for move in _moves_up_to(10):
+        smaller, larger = unit_pair(move)
+        beta = object_type(smaller)[0]
+        pred = region(move)
+        assert delta_profile(smaller, larger) == tuple(int(pred(x)) for x in hom_test_set(beta)), move
+        assert mesh_defect_report(smaller, larger, move.points[0] + 4) == [], move
 
 
 _context = st.lists(

@@ -21,7 +21,7 @@ ROLES_PATCH = """
 from arcdeg import objects
 from arcdeg.objects import B2
 roles = objects._roles
-objects._roles = lambda m, rest: (role for role in roles(m, rest) if role[1] != B2(4, 1))
+objects._roles = lambda m, rest: (role for role in roles(m, rest) if role != B2(4, 1))
 """
 
 ROLES_FAULT = ROLES_PATCH + """
