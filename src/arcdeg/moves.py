@@ -17,20 +17,23 @@ differing by the move alone equals 1.  Both are read off one row per
 kind in the indices of its points: the pieces it replaces
 (``_MOVE_PIECES``), which fix its arity too, and its region, a row of
 boxes (``_REGIONS``).  The reflexive-transitive closure of the moves
-is the arc order.  Moves act on the integer (arcs, poles)
-tuples of a diagram and never touch its loops.  A point query
-(``arc_leq``) searches the down-closure of one diagram with an explicit
-stack.  A whole type has one record (``TypeGraph``), built once from its
-objects: per object id, the diagram, crossings, successor ids and move
-count, which exceeds the successor count by the moves that leave the
-type.  It finds a move's result by an exact integer code of the
-diagram, the source's code plus the move's delta, read off the pieces
-the move replaces, so it builds no result.  The record's closure is one
-bitset per object (``_reach_ids``), built in ascending (poles,
-crossings) order, which is topological since every move lowers that
-pair.  From the record come Hasse diagrams (single moves need not be
-covers, so the transitive reduction is taken), poset extrema, stratum
-dimensions and everything the verification sweep reads.
+is the arc order.  Moves act on the integer (arcs, poles) tuples of a
+diagram and never touch its loops.  Only E changes the pole count, and
+it lowers it, so a point query (``arc_leq``) for y below z searches
+down from z only through states with at least as many poles as y, and
+stops when it meets y.  One search per recent start is kept, and a
+later query from that start resumes it.  A whole type has one record
+(``TypeGraph``), built once from its objects: per object id, the
+diagram, crossings, successor ids and move count, which exceeds the
+successor count by the moves that leave the type.  It finds a move's
+result by an exact integer code of the diagram, the source's code plus
+the move's delta, read off the pieces the move replaces, so it builds
+no result.  The record's closure is one bitset per object
+(``_reach_ids``), built in ascending (poles, crossings) order, which is
+topological since every move lowers that pair.  From the record come
+Hasse diagrams (single moves need not be covers, so the transitive
+reduction is taken), poset extrema, stratum dimensions and everything
+the verification sweep reads.
 """
 
 from __future__ import annotations
@@ -250,26 +253,49 @@ def region(move: Move) -> Callable[[Indecomposable], bool]:
 
 
 @lru_cache(maxsize=1024)
-def _down_closure(arcs, poles) -> frozenset:
-    """Every (arcs, poles) reachable from these by down-moves, the start
-    included: one entry per recently queried start, found by an
-    explicit-stack search (moves leave loops alone).  Every move keeps
-    the point count 2·arcs + poles; a state with another count raises."""
-    start = (arcs, poles)
-    count = 2 * len(arcs) + len(poles)
-    reach = {start}
-    stack = [start]
-    while stack:
-        arcs, poles = stack.pop()
-        for kind, pts in _move_candidates(arcs, poles):
-            nxt = _apply(kind, pts, arcs, poles)
-            if nxt not in reach:
-                if 2 * len(nxt[0]) + len(nxt[1]) != count:
-                    state = ArcDiagram(arcs, poles).to_text()
-                    raise InternalInvariantViolation(f"{Move(kind, pts)} changes the point count of {state}")
-                reach.add(nxt)
-                stack.append(nxt)
-    return frozenset(reach)
+def _down_closure(arcs, poles) -> tuple[set, list[list]]:
+    """The down-move search from these arcs and poles as far as it has
+    gone, one entry per recently queried start: the set of (arcs, poles)
+    states reached, the start included, and per pole count the reached
+    states not yet expanded.  ``_reaches`` advances it."""
+    pending = [[] for _ in range(len(poles) + 1)]
+    pending[-1].append((arcs, poles))
+    return {(arcs, poles)}, pending
+
+
+def _reaches(start, goal) -> bool:
+    """True when the (arcs, poles) state goal is reached from start by
+    down-moves (moves leave loops alone).  No move adds a pole, so the
+    search kept for start expands only states with at least as many
+    poles as goal, the fewest first, and stops once it meets goal; a
+    later query from start resumes it.  A move result that changes the
+    point count 2·arcs + poles, or has more poles than its source,
+    raises, and the kept searches are dropped, so none is left half
+    expanded."""
+    reach, pending = _down_closure(*start)
+    floor = len(goal[1])
+    count = 2 * len(start[0]) + len(start[1])
+    try:
+        while goal not in reach:
+            bucket = next((b for b in pending[floor:] if b), None)
+            if bucket is None:
+                return False
+            arcs, poles = bucket.pop()
+            for kind, pts in _move_candidates(arcs, poles):
+                nxt = _apply(kind, pts, arcs, poles)
+                if nxt not in reach:
+                    if 2 * len(nxt[0]) + len(nxt[1]) != count:
+                        state = ArcDiagram(arcs, poles).to_text()
+                        raise InternalInvariantViolation(f"{Move(kind, pts)} changes the point count of {state}")
+                    if len(nxt[1]) > len(poles):
+                        state = ArcDiagram(arcs, poles).to_text()
+                        raise InternalInvariantViolation(f"{Move(kind, pts)} adds a pole to {state}")
+                    reach.add(nxt)
+                    pending[len(nxt[1])].append(nxt)
+    except BaseException:
+        _down_closure.cache_clear()
+        raise
+    return True
 
 
 def arc_leq(y: S2Object, z: S2Object) -> bool:
@@ -277,7 +303,7 @@ def arc_leq(y: S2Object, z: S2Object) -> bool:
     a (possibly empty) sequence of down-moves."""
     require_same_type(y, z)
     dy, dz = diagram_of_object(y), diagram_of_object(z)
-    return dy.loops == dz.loops and (dy.arcs, dy.poles) in _down_closure(dz.arcs, dz.poles)
+    return dy.loops == dz.loops and _reaches((dz.arcs, dz.poles), (dy.arcs, dy.poles))
 
 
 # the record of one type: its objects and one column entry per object id,

@@ -1,11 +1,14 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from arcdeg.objects import S2Object
+from arcdeg.errors import InternalInvariantViolation
+from arcdeg.moves import Move, _apply, _move_candidates
+from arcdeg.objects import ArcDiagram, S2Object
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +32,31 @@ homcalc.hom_indec = lambda x, y: table(x, y) + (x == P1(2) and y.kind == "B2")
 def object_key(obj):
     """The canonical order on objects: the summands' sort keys, in order."""
     return tuple(s.sort_key for s in obj)
+
+
+@lru_cache(maxsize=None)
+def down_closure(arcs, poles) -> frozenset:
+    """Every (arcs, poles) reachable from these by down-moves, the start
+    included, found by an explicit-stack search (moves leave loops
+    alone): the slow full-closure reference for ``moves._reaches``.  It
+    reads the move table bound at import, so a patched ``moves._apply``
+    does not reach it.  Every move keeps the point count 2·arcs + poles;
+    a state with another count raises."""
+    start = (arcs, poles)
+    count = 2 * len(arcs) + len(poles)
+    reach = {start}
+    stack = [start]
+    while stack:
+        arcs, poles = stack.pop()
+        for kind, pts in _move_candidates(arcs, poles):
+            nxt = _apply(kind, pts, arcs, poles)
+            if nxt not in reach:
+                if 2 * len(nxt[0]) + len(nxt[1]) != count:
+                    state = ArcDiagram(arcs, poles).to_text()
+                    raise InternalInvariantViolation(f"{Move(kind, pts)} changes the point count of {state}")
+                reach.add(nxt)
+                stack.append(nxt)
+    return frozenset(reach)
 
 
 def iter_types(max_weight: int):

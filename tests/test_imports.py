@@ -13,7 +13,9 @@ classmethod counts as read when one of those sources reads it through
 its class: as ``Cls.name`` (or ``module.Cls.name``) anywhere, or as
 ``cls.name`` inside the class.  No library function, nested or method,
 calls itself, so no input meets the interpreter's recursion limit.
-No library code writes through ``object.__setattr__``, and a cold import
+No library code writes through ``object.__setattr__``.  Every library
+``lru_cache`` has a finite ``maxsize`` but ``homcalc.hom_indec``'s,
+whose bound its module docstring gives, and a cold import
 of the package, its sweep and its command line loads none of
 ``dataclasses``, ``inspect`` and ``typing``.
 """
@@ -283,6 +285,48 @@ def test_library_writes_nothing_through_object_setattr():
 def test_object_setattr_check_sees_reads_only():
     source = "x = 1\nobject.__setattr__(x, 'a', 1)\nsetattr = object.__setattr__\nx.__setattr__('b', 2)\n"
     assert object_setattr_reads(source) == [2, 3]
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Name of each function whose ``lru_cache`` decorator sets no
+    integer ``maxsize`` (an omitted one is 128), or that ``cache``
+    decorates, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            func = call.func if call else decorator
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            size = [*call.args, *(k.value for k in call.keywords if k.arg == "maxsize")] if call else []
+            bounded = not size or isinstance(size[0], ast.Constant) and type(size[0].value) is int
+            if name == "cache" or name == "lru_cache" and not bounded:
+                found.append(node.name)
+    return found
+
+
+def test_library_caches_are_bounded_but_hom_indec():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) >= 10
+    found = {module: unbounded_caches(source) for module, source in sources.items()}
+    assert {module: names for module, names in found.items() if names} == {"homcalc.py": ["hom_indec"]}
+
+
+def test_cache_bound_check_sees_every_spelling():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache\ndef a(): pass\n"
+        "@lru_cache(maxsize=8)\ndef b(): pass\n"
+        "@functools.lru_cache(16, typed=True)\ndef c(): pass\n"
+        "@lru_cache(typed=True)\ndef d(): pass\n"
+        "@lru_cache(maxsize=None)\ndef e(): pass\n"
+        "@functools.lru_cache(None)\ndef f(): pass\n"
+        "@cache\ndef g(): pass\n"
+        "@functools.cache\ndef h(): pass\n"
+        "SIZE = 4\n@lru_cache(maxsize=SIZE)\ndef i(): pass\n"
+    )
+    assert unbounded_caches(source) == ["e", "f", "g", "h", "i"]
 
 
 def test_cold_import_loads_no_dataclasses_inspect_or_typing():

@@ -1,6 +1,8 @@
 import json
+import random
 from collections.abc import Callable
 from itertools import combinations
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -48,7 +50,7 @@ from arcdeg.objects import (
 )
 from arcdeg.partitions import Partition
 
-from conftest import DESCENT_Y, DESCENT_Z, iter_types, object_key
+from conftest import DESCENT_Y, DESCENT_Z, down_closure, iter_types, object_key
 
 
 def moves_strategy():
@@ -372,13 +374,67 @@ def test_arc_leq_on_objects_that_differ_only_in_loops():
 
 
 def test_down_closure_is_keyed_by_arcs_and_poles():
-    d = diagram_of_object(DESCENT_Z)
-    closure = _down_closure(d.arcs, d.poles)
-    assert (d.arcs, d.poles) in closure
-    e = diagram_of_object(DESCENT_Y)
-    assert (e.arcs, e.poles) in closure
-    assert all(type(a) is tuple and type(p) is tuple for a, p in closure)
-    assert {(x.arcs, x.poles) for _, x in down_moves(d)} <= closure
+    d, e = diagram_of_object(DESCENT_Z), diagram_of_object(DESCENT_Y)
+    # DESCENT_Y differs from DESCENT_Z, so this query expands the start
+    assert arc_leq(DESCENT_Y, DESCENT_Z)
+    reach, pending = _down_closure(d.arcs, d.poles)
+    assert (d.arcs, d.poles) in reach
+    assert (e.arcs, e.poles) in reach
+    assert all(type(a) is tuple and type(p) is tuple for a, p in reach)
+    assert {(x.arcs, x.poles) for _, x in down_moves(d)} <= reach
+    # the states not yet expanded are reached ones, bucketed by pole count
+    assert len(pending) == len(d.poles) + 1
+    assert all(len(p) == k and (a, p) in reach for k, bucket in enumerate(pending) for a, p in bucket)
+
+
+def _reference_leq(y, z):
+    dy, dz = diagram_of_object(y), diagram_of_object(z)
+    return dy.loops == dz.loops and (dy.arcs, dy.poles) in down_closure(dz.arcs, dz.poles)
+
+
+def test_arc_leq_resumes_searches_and_matches_the_full_closure(monkeypatch):
+    # every ordered pair of every realizable type up to weight 8, and 300
+    # seeded staircase-7 pairs (half of them comparable), each with its
+    # answer from the type's bitset closure
+    cases = []
+    for beta, gamma in iter_types(8):
+        graph = _type_graph(beta, gamma)
+        reach = _reach_ids(graph)
+        cases += [
+            (y, z, bool(reach[j] >> i & 1)) for i, y in enumerate(graph.nodes) for j, z in enumerate(graph.nodes)
+        ]
+    graph = _type_graph(Partition.of(7, 6, 5, 4, 3, 2, 1), Partition.of(6, 5, 4, 3, 2, 1))
+    reach, nodes = _reach_ids(graph), graph.nodes
+    rng = random.Random(7)
+    for k in range(300):
+        j = rng.randrange(len(nodes))
+        below = [i for i in range(len(nodes)) if reach[j] >> i & 1]
+        i = rng.choice(below) if k % 2 else rng.randrange(len(nodes))
+        cases.append((nodes[i], nodes[j], bool(reach[j] >> i & 1)))
+    assert len(cases) == 1510 + 300
+    rng.shuffle(cases)
+
+    # the pole counts of the states each query expands
+    expanded = []
+    real = moves._move_candidates
+
+    def recording(arcs, poles):
+        expanded.append(len(poles))
+        return real(arcs, poles)
+
+    monkeypatch.setattr(moves, "_move_candidates", recording)
+    hits = _down_closure.cache_info().hits
+    answers = []
+    for y, z, below in cases:
+        expanded.clear()
+        answer = arc_leq(y, z)
+        assert answer == below == _reference_leq(y, z), (y.to_text(), z.to_text())
+        # no move adds a pole, so no state with fewer poles than y is needed
+        assert min(expanded, default=inf) >= len(diagram_of_object(y).poles), (y.to_text(), z.to_text())
+        answers.append(answer)
+    assert 0 < sum(answers) < len(answers)
+    # most queries resume a search that an earlier query started
+    assert _down_closure.cache_info().hits - hits > len(cases) // 2
 
 
 def test_arc_order_search_stops_when_a_move_changes_the_point_count(monkeypatch):
@@ -393,15 +449,44 @@ def test_arc_order_search_stops_when_a_move_changes_the_point_count(monkeypatch)
         return arcs_after, tuple(sorted(poles_after + (pts[poles_out[0]],), reverse=True))
 
     z = S2Object.from_text("B(5,1)+P1(4)+P1(3)+P1(2)")
+    y = S2Object.from_text("B(5,1)+B(4,2)+P1(3)")
     monkeypatch.setattr(moves, "_apply", keep_first_removed_piece)
     _down_closure.cache_clear()
     message = r"^B\(5,4,1\) changes the point count of arcs:5-1; poles:4,3,2; loops:$"
     try:
         # without the check, this search grows until memory runs out
         with pytest.raises(InternalInvariantViolation, match=message):
-            arc_leq(z, z)
+            arc_leq(y, z)
     finally:
         _down_closure.cache_clear()
+
+
+def test_arc_order_search_stops_when_a_move_adds_a_pole(monkeypatch):
+    real = moves._apply
+
+    def split_added_arc(kind, pts, arcs, poles):
+        # a D move leaves the ends of the arc it adds as two poles: the
+        # point count holds, the pole count rises by two
+        arcs_after, poles_after = real(kind, pts, arcs, poles)
+        if kind != "D":
+            return arcs_after, poles_after
+        arc = (pts[1], pts[2])
+        rest = list(arcs_after)
+        rest.remove(arc)
+        return tuple(rest), tuple(sorted(poles_after + arc, reverse=True))
+
+    z = S2Object.from_text("B(7,1)+P1(6)+P1(5)+P1(4)+P1(3)+P1(2)")
+    objects = enumerate_objects(*object_type(z))
+    y = next(y for y in objects if y != z)
+    monkeypatch.setattr(moves, "_apply", split_added_arc)
+    _down_closure.cache_clear()
+    # the search raises while expanding z, after adding the result of B(7,6,1)
+    message = r"^D\(7,6,1\) adds a pole to arcs:7-1; poles:6,5,4,3,2; loops:$"
+    with pytest.raises(InternalInvariantViolation, match=message):
+        arc_leq(y, z)
+    monkeypatch.setattr(moves, "_apply", real)
+    # no half-expanded search is left behind for z
+    assert [arc_leq(y, z) for y in objects] == [_reference_leq(y, z) for y in objects]
 
 
 def test_hasse_five_element_poset():
