@@ -22,18 +22,22 @@ diagram and never touch its loops.  Only E changes the pole count, and
 it lowers it, so a point query (``arc_leq``) for y below z searches
 down from z only through states with at least as many poles as y, and
 stops when it meets y.  One search per recent start is kept, and a
-later query from that start resumes it.  A whole type has one record
-(``TypeGraph``), built once from its objects: per object id, the
-diagram, crossings, successor ids and move count, which exceeds the
-successor count by the moves that leave the type.  It finds a move's
-result by an exact integer code of the diagram, the source's code plus
-the move's delta, read off the pieces the move replaces, so it builds
-no result.  The record's closure is one bitset per object
+later query from that start resumes it.  A list of objects has one
+record (``TypeGraph``), built once: per object id, the diagram,
+crossings, successor ids and move count, which exceeds the successor
+count by the moves that leave the type.  It finds a move's result by an
+exact integer code of the diagram, the source's code plus the move's
+delta, read off the pieces the move replaces, so it builds no result.
+No move changes the quotient type gamma, so a result is looked up only
+among its source's gamma, and a record of every object of one ambient
+type beta is the disjoint union of the records of its types
+(beta, gamma).  The record's closure is one bitset per object
 (``_reach_ids``), built in ascending (poles, crossings) order, which is
 topological since every move lowers that pair.  From the record come
 Hasse diagrams (single moves need not be covers, so the transitive
-reduction is taken), poset extrema, stratum dimensions and everything
-the verification sweep reads.
+reduction is taken), poset extrema and stratum dimensions: a point
+query builds the record of one type, the verification sweep one record
+per ambient type.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .objects import (
     crossings,
     diagram_of_object,
     enumerate_objects,
+    object_type,
     require_same_type,
 )
 from .partitions import Partition
@@ -306,10 +311,10 @@ def arc_leq(y: S2Object, z: S2Object) -> bool:
     return dy.loops == dz.loops and _reaches((dz.arcs, dz.poles), (dy.arcs, dy.poles))
 
 
-# the record of one type: its objects and one column entry per object id,
+# the record of a list of objects and one column entry per object id,
 # its position in ``nodes``: the diagram, the crossings, the sorted ids of
-# the move results (``succ``) and the down-move count (``moves``), of
-# which ``moves[i] - len(succ[i])`` leave nodes
+# the move results of its quotient type (``succ``) and the down-move
+# count (``moves``), of which ``moves[i] - len(succ[i])`` leave them
 TypeGraph = namedtuple("TypeGraph", "nodes diagrams crossings succ moves")
 
 
@@ -337,27 +342,35 @@ def _move_delta(w: int, kind: str, pts: tuple[int, ...]) -> int:
 
 
 def _type_table(nodes) -> TypeGraph:
-    """The record of a type from its objects in canonical order: the one
-    place that derives their diagrams, crossings and moves.  The codes'
-    digits are as wide as the largest point count 2·arcs + poles + loops,
-    which bounds every multiplicity and which no move changes, so every
-    code here, and every move result's, is exact.  A move's removed and
-    added pieces are disjoint and fix its kind and points, so distinct
-    moves on one diagram give distinct results, and the moves that leave
-    the record number its move count less its successor count."""
+    """The record of objects of one ambient type in canonical order, of
+    one type (beta, gamma) or of all types of that beta: the one place
+    that derives their diagrams, crossings and moves.  The codes' digits
+    are as wide as the largest point count 2·arcs + poles + loops, which
+    bounds every multiplicity and which no move changes, so every code
+    here, and every move result's, is exact.  A move's removed and added
+    pieces are disjoint and fix its kind and points, so distinct moves on
+    one diagram give distinct results.  A result is looked up only among
+    the nodes of its source's quotient type, so one of another type leaves
+    like a missing one, and the moves that leave each node's type number
+    its move count less its successor count."""
     diagrams = tuple(diagram_of_object(o) for o in nodes)
     w = max((2 * len(a) + len(p) + len(q) for a, p, q in diagrams), default=0).bit_length()
-    codes = [_code(w, *d) for d in diagrams]
-    ids = {c: i for i, c in enumerate(codes)}
+    # a node's key is its code times the number of quotient types plus the
+    # label of its own, and a move adds its delta times that number, so the
+    # label of a result's key is its source's
+    gammas: dict[Partition, int] = {}
+    labels = [gammas.setdefault(object_type(o)[1], len(gammas)) for o in nodes]
+    keys = [_code(w, *d) * len(gammas) + label for d, label in zip(diagrams, labels)]
+    ids = {k: i for i, k in enumerate(keys)}
     deltas: dict[tuple[str, tuple[int, ...]], int] = {}
     succ, counts = [], []
-    for (arcs, poles, _), code in zip(diagrams, codes):
+    for (arcs, poles, _), key in zip(diagrams, keys):
         targets = []
         for move in _move_candidates(arcs, poles):
             delta = deltas.get(move)
             if delta is None:
-                delta = deltas[move] = _move_delta(w, *move)
-            targets.append(ids.get(code + delta))
+                delta = deltas[move] = _move_delta(w, *move) * len(gammas)
+            targets.append(ids.get(key + delta))
         succ.append(tuple(sorted(j for j in targets if j is not None)))
         counts.append(len(targets))
     return TypeGraph(tuple(nodes), diagrams, tuple(map(crossings, diagrams)), tuple(succ), tuple(counts))
@@ -401,12 +414,16 @@ def _cover_ids(graph: TypeGraph) -> list[tuple[int, int]]:
     return edges
 
 
-def _extrema_ids(graph: TypeGraph) -> tuple[list[int], list[int]]:
-    """(maximal, minimal) ids of a type graph: nodes with no up-move,
-    respectively no down-move, inside the type."""
-    has_incoming = {j for targets in graph.succ for j in targets}
-    maximal = [i for i in range(len(graph.succ)) if i not in has_incoming]
-    minimal = [i for i, targets in enumerate(graph.succ) if not targets]
+def _extrema_ids(graph: TypeGraph, ids=None) -> tuple[list[int], list[int]]:
+    """(maximal, minimal) among the node ids of one type (all nodes by
+    default), in the order given: nodes with no up-move, respectively no
+    down-move, inside the type.  Successors keep the quotient type, so
+    the ids of a type hold every successor of each."""
+    if ids is None:
+        ids = range(len(graph.succ))
+    has_incoming = {j for i in ids for j in graph.succ[i]}
+    maximal = [i for i in ids if i not in has_incoming]
+    minimal = [i for i in ids if not graph.succ[i]]
     return maximal, minimal
 
 
@@ -425,17 +442,21 @@ def extrema(beta: Partition, gamma: Partition) -> tuple[list[S2Object], list[S2O
     return [graph.nodes[i] for i in maximal], [graph.nodes[i] for i in minimal]
 
 
-def _node_dims(graph: TypeGraph, beta: Partition, gamma: Partition) -> list[tuple[Partition, int]]:
-    """Per node, its subspace type alpha and its stratum dimension."""
+def _node_dims(graph: TypeGraph, beta: Partition) -> list[tuple[Partition, int]]:
+    """Per node of a record of objects of ambient type beta, its subspace
+    type alpha and its stratum dimension, read with the node's own
+    quotient type gamma."""
     # alpha has a 2 per arc or loop and a 1 per pole (alpha_of's rule), so
     # it and the crossing-free part of the dimension are shared by each such
-    # class; the formula is read from its module, so a patched one reaches here
-    by_class: dict[tuple[int, int], tuple[Partition, int]] = {}
+    # class of one gamma; the formula is read from its module, so a patched
+    # one reaches here
+    by_class: dict[tuple[Partition, int, int], tuple[Partition, int]] = {}
     out = []
-    for (arcs, poles, loops), x in zip(graph.diagrams, graph.crossings):
-        key = (len(arcs) + len(loops), len(poles))
+    for node, (arcs, poles, loops), x in zip(graph.nodes, graph.diagrams, graph.crossings):
+        gamma = object_type(node)[1]
+        key = (gamma, len(arcs) + len(loops), len(poles))
         if key not in by_class:
-            alpha = Partition((2,) * key[0] + (1,) * key[1])
+            alpha = Partition((2,) * key[1] + (1,) * key[2])
             by_class[key] = (alpha, geometry._stratum_dim_less_crossings(alpha, beta, gamma))
         alpha, uncrossed_dim = by_class[key]
         out.append((alpha, uncrossed_dim - x))
@@ -447,7 +468,7 @@ def hasse_dot(beta: Partition, gamma: Partition) -> str:
     with its text form, subspace type, crossings and stratum dimension."""
     graph = _type_graph(beta, gamma)
     lines = ["digraph hasse {", "  rankdir=TB;", "  node [shape=box];"]
-    dims = _node_dims(graph, beta, gamma)
+    dims = _node_dims(graph, beta)
     # one text per subspace type: the types are few, the nodes many
     alpha_text = {alpha: alpha.to_text() or "()" for alpha in {a for a, _ in dims}}
     for i, (d, x, (alpha, dim)) in enumerate(zip(graph.diagrams, graph.crossings, dims)):

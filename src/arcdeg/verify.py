@@ -1,10 +1,11 @@
 """Whole-library property sweep over every type up to a weight bound.
 
-Each ambient type beta up to the bound is enumerated once and its
-objects are grouped by quotient type gamma; the betas and gammas come
+Each ambient type beta up to the bound is enumerated once, and all its
+objects get one record (``moves.TypeGraph``); the betas and gammas come
 from one partition walk, with an explicit stack instead of recursion.
-Each realizable type gets one record (``moves.TypeGraph``) and is
-checked exhaustively:
+No move changes the quotient type gamma, so the record's successors
+stay inside a type, and each realizable type (beta, gamma) is checked
+exhaustively on its own node ids in that record:
 
 * diagram round trip: the object of the diagram of an object is the
   object itself;
@@ -24,12 +25,14 @@ checked exhaustively:
   prediction whenever the skew type is a column strip.
 
 The moves, crossings, dimensions and extrema are read from the record,
-where a move count above the successor count means a move leaves the type.
-Both orders come from whole-type tables: the hom order from one hom
-matrix per test set (``homcalc._hom_rows``), where y <= z iff row y is
-entrywise at most row z, and the arc order from the bitset closure of
-the record (``moves._reach_ids``), where y <= z iff bit y is set in the
-closure of z.  The point queries ``hom_leq`` and ``arc_leq`` decide the same orders
+where a move count above the successor count means a move leaves the
+type; ``down_moves`` then names the moves that leave, and a count it
+does not match is reported too.  Both orders come from tables built
+once per beta: the hom order from one hom matrix per test set
+(``homcalc._hom_rows``), where y <= z iff row y is entrywise at most
+row z, and the arc order from the bitset closure of the record
+(``moves._reach_ids``), where y <= z iff bit y is set in the closure of
+z.  The point queries ``hom_leq`` and ``arc_leq`` decide the same orders
 pair by pair and are the tests' reference for both tables.
 """
 
@@ -46,7 +49,6 @@ from .lr import minimal_count_prediction
 from .moves import (
     MOVE_ARITY,
     Move,
-    TypeGraph,
     _extrema_ids,
     _node_dims,
     _reach_ids,
@@ -129,14 +131,7 @@ def equivalence_sweep(max_weight: int) -> SweepReport:
     """Run the exhaustive per-type checks up to the weight bound."""
     report = SweepReport()
     for beta in all_partitions(max_weight)[1:]:  # all but the empty one
-        # one enumeration per beta; each gamma keeps the canonical order
-        by_gamma: dict[Partition, list[S2Object]] = {}
-        for obj in enumerate_objects(beta):
-            by_gamma.setdefault(object_type(obj)[1], []).append(obj)
-        for gamma in subpartitions(beta):
-            report.types_seen += 1
-            if gamma in by_gamma:
-                _check_type(report, beta, gamma, _type_table(by_gamma[gamma]))
+        _check_ambient(report, beta)
     return report
 
 
@@ -146,67 +141,93 @@ def _picket_probes(max_part: int) -> tuple[Indecomposable, ...]:
     return tuple([P0(m) for m in range(1, max_part + 2)] + [P2(m) for m in range(2, max_part + 2)])
 
 
-def _check_type(report: SweepReport, beta: Partition, gamma: Partition, graph: TypeGraph):
-    """Every per-type check on the record of one realizable type."""
+def _check_ambient(report: SweepReport, beta: Partition):
+    """Every per-type check on the types (beta, gamma), in
+    ``subpartitions(beta)`` order, from one record and one set of tables
+    of all objects of ambient type beta."""
+    graph = _type_table(enumerate_objects(beta))
     objects = graph.nodes
-    report.types_realizable += 1
-    report.objects_total += len(objects)
-    report.move_edges += sum(graph.moves)
-    dims = _node_dims(graph, beta, gamma)
-    # the objects of one subspace type share both automorphism degrees
-    auts = {alpha: aut_degree(alpha) + aut_degree(beta) for alpha in {a for a, _ in dims}}
+    # canonical order within beta is canonical order within each gamma
+    ids_of: dict[Partition, list[int]] = {}
+    for i, obj in enumerate(objects):
+        ids_of.setdefault(object_type(obj)[1], []).append(i)
+    dims = _node_dims(graph, beta)
+    aut_beta = aut_degree(beta)
     probes = _picket_probes(beta.max_part)
     picket_rows = _hom_rows(probes, objects)
-    first = objects[0]
-    for i, (obj, d, homs, (alpha, dim)) in enumerate(zip(objects, graph.diagrams, picket_rows, dims)):
-        # a diagram that completes to another type fails the round trip, not the run
-        try:
-            back = object_of_diagram(d, beta, gamma)
-        except InconsistentDiagram:
-            back = None
-        if back != obj:
-            report.fail("roundtrip", obj.to_text())
-        for probe, value, expected in zip(probes, homs, picket_rows[0]):
-            if value != expected:
-                report.fail("picket-delta-zero", f"{probe.to_text()} on {first.to_text()} vs {obj.to_text()}")
-        # orbit-stabilizer: the stabilizer of the embedding is Aut(obj),
-        # an open subset of End(obj); the orbit side reads the record's
-        # crossings, the stabilizer side the hom table
-        if _orbit_dim(alpha, beta, gamma, graph.crossings[i]) != auts[alpha] - hom_obj(obj, obj):
-            report.fail("dimension-identity", obj.to_text())
-        if graph.moves[i] != len(graph.succ[i]) or any(dims[j][1] <= dim for j in graph.succ[i]):
-            # name each failing move, in down_moves order
-            ids = dict(zip(graph.diagrams, range(len(objects))))
-            for move, result in down_moves(d):
-                j = ids.get(result)
-                if j is None:
-                    report.fail("move-type", f"{move} leaves the type from {obj.to_text()}")
-                elif dims[j][1] <= dim:
-                    report.fail("dimension-monotonicity", f"{move} from {obj.to_text()} ({dim} -> {dims[j][1]})")
     # y <= z in the hom order iff row y <= row z entrywise, and in the
     # arc order iff bit y is set in the closure of z
     rows = _hom_rows(test_set(beta), objects)
     wide_rows = _hom_rows(test_set(beta, beta.max_part + 4), objects)
     reach = _reach_ids(graph)
-    for i, y in enumerate(objects):
-        for j, z in enumerate(objects):
-            report.pairs_checked += 1
-            hom = all(map(le, rows[i], rows[j]))
-            if bool(reach[j] >> i & 1) != hom:
-                report.fail("order-equivalence", f"{y.to_text()} vs {z.to_text()}")
-            if all(map(le, wide_rows[i], wide_rows[j])) != hom:
-                report.fail("test-set-bound", f"{y.to_text()} vs {z.to_text()}")
-    maximal, minimal = _extrema_ids(graph)
-    if len(maximal) != 1:
-        report.fail("unique-maximal", f"type ({beta.to_text()};{gamma.to_text()})")
-    elif graph.diagrams[maximal[0]].arcs:
-        report.fail("maximal-has-arc", f"type ({beta.to_text()};{gamma.to_text()})")
-    predicted = minimal_count_prediction(beta, gamma)
-    if predicted is not None and predicted != len(minimal):
-        report.fail(
-            "minimal-count",
-            f"type ({beta.to_text()};{gamma.to_text()}): predicted {predicted}, found {len(minimal)}",
-        )
+    for gamma in subpartitions(beta):
+        report.types_seen += 1
+        ids = ids_of.get(gamma)
+        if ids is None:
+            continue
+        report.types_realizable += 1
+        report.objects_total += len(ids)
+        report.move_edges += sum(graph.moves[i] for i in ids)
+        # orbit-stabilizer: the stabilizer of the embedding is Aut(obj), an
+        # open subset of End(obj); per subspace type, the orbit dimension
+        # before the crossings and the two automorphism degrees
+        orbit = {
+            alpha: (_orbit_dim(alpha, beta, gamma, 0), aut_degree(alpha) + aut_beta)
+            for alpha in {dims[i][0] for i in ids}
+        }
+        first = objects[ids[0]]
+        for i in ids:
+            obj, d, (alpha, dim) = objects[i], graph.diagrams[i], dims[i]
+            # a diagram that completes to another type fails the round trip, not the run
+            try:
+                back = object_of_diagram(d, beta, gamma)
+            except InconsistentDiagram:
+                back = None
+            if back != obj:
+                report.fail("roundtrip", obj.to_text())
+            for probe, value, expected in zip(probes, picket_rows[i], picket_rows[ids[0]]):
+                if value != expected:
+                    report.fail("picket-delta-zero", f"{probe.to_text()} on {first.to_text()} vs {obj.to_text()}")
+            uncrossed, auts = orbit[alpha]
+            if uncrossed - graph.crossings[i] != auts - hom_obj(obj, obj):
+                report.fail("dimension-identity", obj.to_text())
+            leaving = graph.moves[i] - len(graph.succ[i])
+            if leaving or any(dims[j][1] <= dim for j in graph.succ[i]):
+                # name each failing move, in down_moves order
+                type_ids = {graph.diagrams[j]: j for j in ids}
+                named = 0
+                for move, result in down_moves(d):
+                    j = type_ids.get(result)
+                    if j is None:
+                        named += 1
+                        report.fail("move-type", f"{move} leaves the type from {obj.to_text()}")
+                    elif dims[j][1] <= dim:
+                        report.fail("dimension-monotonicity", f"{move} from {obj.to_text()} ({dim} -> {dims[j][1]})")
+                # the record and down_moves disagree on the moves that leave
+                if named != leaving:
+                    report.fail(
+                        "move-type",
+                        f"moves leaving the type from {obj.to_text()}: {leaving} in the record, {named} in down_moves",
+                    )
+        for i in ids:
+            for j in ids:
+                report.pairs_checked += 1
+                hom = all(map(le, rows[i], rows[j]))
+                if bool(reach[j] >> i & 1) != hom:
+                    report.fail("order-equivalence", f"{objects[i].to_text()} vs {objects[j].to_text()}")
+                if all(map(le, wide_rows[i], wide_rows[j])) != hom:
+                    report.fail("test-set-bound", f"{objects[i].to_text()} vs {objects[j].to_text()}")
+        maximal, minimal = _extrema_ids(graph, ids)
+        if len(maximal) != 1:
+            report.fail("unique-maximal", f"type ({beta.to_text()};{gamma.to_text()})")
+        elif graph.diagrams[maximal[0]].arcs:
+            report.fail("maximal-has-arc", f"type ({beta.to_text()};{gamma.to_text()})")
+        predicted = minimal_count_prediction(beta, gamma)
+        if predicted is not None and predicted != len(minimal):
+            report.fail(
+                "minimal-count",
+                f"type ({beta.to_text()};{gamma.to_text()}): predicted {predicted}, found {len(minimal)}",
+            )
 
 
 def random_same_type_pairs(count: int, max_weight: int, seed: int):

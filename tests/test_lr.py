@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from arcdeg.cli import main
 from arcdeg.errors import TypeMismatch
 from arcdeg.lr import lr_coefficient, minimal_count_prediction
+from arcdeg.objects import alpha_of, crossings, diagram_of_object, enumerate_objects
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions
 
@@ -183,3 +185,23 @@ def test_cli_lr_on_a_long_row_needs_no_recursion(capsys):
     # one skew cell per unit of weight, beyond the interpreter's default recursion limit
     assert main(["lr", "--alpha", "1200", "--gamma", "", "--beta", "1200"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_crossing_free_objects_count_the_lr_coefficient_up_to_weight_8():
+    # c^beta_{alpha,gamma} is the leading coefficient of the Hall
+    # polynomial g^beta_{alpha,gamma}(q) (Macdonald, Symmetric Functions
+    # and Hall Polynomials, II.4.3); the objects with no crossing are the
+    # orbits of top dimension, hall_degree + aut_degree(alpha), and every
+    # subspace type has parts <= 2
+    triples = 0
+    for beta, gamma in iter_types(8):
+        diff = beta.weight() - gamma.weight()
+        found = Counter(
+            alpha_of(o) for o in enumerate_objects(beta, gamma) if crossings(diagram_of_object(o)) == 0
+        )
+        alphas = [Partition((2,) * twos + (1,) * (diff - 2 * twos)) for twos in range(diff // 2 + 1)]
+        assert set(found) <= set(alphas)
+        for alpha in alphas:
+            assert found[alpha] == lr_coefficient(alpha, gamma, beta), (alpha, gamma, beta)
+        triples += len(alphas)
+    assert triples == 2049

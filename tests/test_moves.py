@@ -19,6 +19,7 @@ from arcdeg.moves import (
     _REGIONS,
     _code,
     _down_closure,
+    _extrema_ids,
     _move_delta,
     _node_dims,
     _reach_ids,
@@ -49,6 +50,7 @@ from arcdeg.objects import (
     object_type,
 )
 from arcdeg.partitions import Partition
+from arcdeg.verify import all_partitions, subpartitions
 
 from conftest import DESCENT_Y, DESCENT_Z, down_closure, iter_types, object_key
 
@@ -637,6 +639,31 @@ def test_type_table_codes_are_exact_at_the_width_boundary():
         assert (graph.succ, graph.moves) == _record_from_down_moves(nodes)
 
 
+def test_ambient_record_restricted_to_a_type_is_the_type_record():
+    # the sweep's one record of every object of beta holds the record of
+    # each type (beta, gamma) on that gamma's ids: the same nodes in the
+    # same order, diagrams, crossings, move counts, dimensions and
+    # extrema, and the same successors once the ids are mapped
+    for beta in all_partitions(8)[1:]:
+        whole = _type_table(enumerate_objects(beta))
+        whole_dims = _node_dims(whole, beta)
+        covered = 0
+        for gamma in subpartitions(beta):
+            ids = [i for i, o in enumerate(whole.nodes) if object_type(o)[1] == gamma]
+            graph = _type_table(enumerate_objects(beta, gamma))
+            assert [whole.nodes[i] for i in ids] == list(graph.nodes)
+            assert [whole.diagrams[i] for i in ids] == list(graph.diagrams)
+            assert [whole.crossings[i] for i in ids] == list(graph.crossings)
+            assert [whole.moves[i] for i in ids] == list(graph.moves)
+            local = {i: k for k, i in enumerate(ids)}
+            assert [tuple(local.get(j) for j in whole.succ[i]) for i in ids] == list(graph.succ)
+            assert [whole_dims[i] for i in ids] == _node_dims(graph, beta)
+            maximal, minimal = _extrema_ids(whole, ids)
+            assert ([local[i] for i in maximal], [local[i] for i in minimal]) == _extrema_ids(graph)
+            covered += len(ids)
+        assert covered == len(whole.nodes)
+
+
 def test_type_graph_matches_down_moves_on_staircase_9():
     beta, gamma = Partition.of(9, 8, 7, 6, 5, 4, 3, 2, 1), Partition.of(8, 7, 6, 5, 4, 3, 2, 1)
     graph = _type_graph(beta, gamma)
@@ -650,7 +677,7 @@ def test_node_dims_match_alpha_of_and_stratum_dim_per_node():
     staircase_9 = (Partition.of(9, 8, 7, 6, 5, 4, 3, 2, 1), Partition.of(8, 7, 6, 5, 4, 3, 2, 1))
     for beta, gamma in [*iter_types(8), staircase_9]:
         graph = _type_graph(beta, gamma)
-        dims = _node_dims(graph, beta, gamma)
+        dims = _node_dims(graph, beta)
         assert dims == [(alpha_of(o), stratum_dim(o)) for o in graph.nodes]
         assert all(type(alpha) is Partition for alpha, _ in dims)
 

@@ -7,7 +7,7 @@ from arcdeg.cli import main
 from arcdeg.homcalc import _hom_rows, delta_profile, hom_leq, hom_obj, test_set as hom_test_set
 from arcdeg.geometry import stratum_dim
 from arcdeg.moves import _reach_ids, _type_graph, arc_leq, down_moves
-from arcdeg.objects import S2Object, alpha_of, diagram_of_object, enumerate_objects
+from arcdeg.objects import ArcDiagram, S2Object, alpha_of, diagram_of_object, enumerate_objects, object_type
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions, mesh_check, region_check, subpartitions
 
@@ -68,6 +68,23 @@ from arcdeg.verify import equivalence_sweep
 table = homcalc.hom_indec
 homcalc.hom_indec = lambda x, y: table(x, y) + (x == P0(2) and y.kind == "B2")
 print(json.dumps(equivalence_sweep(6).failures.get("picket-delta-zero", [])))
+"""
+
+# the record's code for an E move on poles (m, r) gives a loop at m
+# instead of the arc (m, r), so the record takes the result for a diagram
+# of another type or of none; down_moves applies the move itself and
+# stays right
+DELTA_FAULT = """
+import json
+from arcdeg import moves
+from arcdeg.verify import equivalence_sweep
+delta = moves._move_delta
+moves._move_delta = lambda w, kind, pts: (
+    moves._code(w, (), (), pts[:1]) - moves._code(w, (), pts) if kind == "E" else delta(w, kind, pts)
+)
+report = equivalence_sweep(5)
+counts = [report.types_seen, report.types_realizable, report.objects_total, report.pairs_checked, report.move_edges]
+print(json.dumps([counts, report.failures]))
 """
 
 ORDER_FAULT = ORDER_PATCH + """
@@ -388,6 +405,102 @@ def test_sweep_monotonicity_fault_report():
     # as recorded from the sweep that regenerated every move per object
     assert len(expected) == 39
     assert expected[0] == "E(5,1) from P1(5)+P1(1) (36 -> 33)"
+
+
+def test_sweep_reports_a_record_that_disagrees_with_down_moves():
+    proc = run_python("-c", DELTA_FAULT)
+    assert proc.returncode == 0, proc.stderr
+    counts, failures = json.loads(proc.stdout)
+    assert counts == [109, 97, 111, 139, 14]
+    # recorded from the sweep that built one record per type, which wrote
+    # no move-type line for this fault
+    assert {kind: msgs for kind, msgs in failures.items() if kind != "move-type"} == {
+        "order-equivalence": [
+            "B(4,1) vs P1(4)+P1(1)",
+            "P2(3)+P0(2) vs P1(3)+P1(2)",
+            "B(3,1) vs P1(3)+P1(1)",
+            "B(3,1)+P1(1) vs P1(3)+P1(1)+P1(1)",
+            "B(3,1)+P0(1) vs P1(3)+P1(1)+P0(1)",
+            "P2(2)+P0(2)+P0(1) vs P1(2)+P1(1)+P0(2)",
+            "P2(2)+P2(2)+P0(1) vs P2(2)+P1(2)+P1(1)",
+            "P2(2)+P1(2)+P0(1) vs P1(2)+P1(2)+P1(1)",
+            "P2(2)+P0(1) vs P1(2)+P1(1)",
+            "P2(2)+P1(1)+P0(1) vs P1(2)+P1(1)+P1(1)",
+            "P2(2)+P0(1)+P0(1) vs P1(2)+P1(1)+P0(1)",
+            "P2(2)+P1(1)+P1(1)+P0(1) vs P1(2)+P1(1)+P1(1)+P1(1)",
+            "P2(2)+P1(1)+P0(1)+P0(1) vs P1(2)+P1(1)+P1(1)+P0(1)",
+            "P2(2)+P0(1)+P0(1)+P0(1) vs P1(2)+P1(1)+P0(1)+P0(1)",
+        ],
+        "unique-maximal": [
+            "type (4,1;3)",
+            "type (3,2;2,1)",
+            "type (3,1;2)",
+            "type (3,1,1;2)",
+            "type (3,1,1;2,1)",
+            "type (2,2,1;2,1)",
+            "type (2,2,1;1)",
+            "type (2,2,1;1,1)",
+            "type (2,1;1)",
+            "type (2,1,1;1)",
+            "type (2,1,1;1,1)",
+            "type (2,1,1,1;1)",
+            "type (2,1,1,1;1,1)",
+            "type (2,1,1,1;1,1,1)",
+        ],
+        "minimal-count": [
+            "type (4,1;3): predicted 1, found 2",
+            "type (3,2;2,1): predicted 1, found 2",
+            "type (3,1;2): predicted 1, found 2",
+            "type (3,1,1;2,1): predicted 1, found 2",
+            "type (2,2,1;2,1): predicted 1, found 2",
+            "type (2,1;1): predicted 1, found 2",
+            "type (2,1,1;1,1): predicted 1, found 2",
+            "type (2,1,1,1;1,1,1): predicted 1, found 2",
+        ],
+    }
+    # reference: per object, the E moves whose faulted result is no
+    # diagram of its type; down_moves finds every result in the type
+    expected = []
+    for beta, gamma in iter_types(5):
+        objects = enumerate_objects(beta, gamma)
+        diagrams = set(map(diagram_of_object, objects))
+        for o in objects:
+            d = diagram_of_object(o)
+            leaving = 0
+            for move, result in down_moves(d):
+                assert result in diagrams
+                if move.kind == "E":
+                    m, r = move.points
+                    poles = list(d.poles)
+                    poles.remove(m)
+                    poles.remove(r)
+                    leaving += ArcDiagram(d.arcs, poles, d.loops + (m,)) not in diagrams
+            if leaving:
+                expected.append(f"moves leaving the type from {o.to_text()}: {leaving} in the record, 0 in down_moves")
+    assert len(expected) == 14
+    assert failures["move-type"] == expected
+
+
+def test_sweep_builds_one_record_per_ambient_type(monkeypatch):
+    from arcdeg import verify
+
+    built, sizes = [], []
+    table = verify._type_table
+
+    def counting(nodes):
+        built.append(object_type(nodes[0])[0])
+        sizes.append(len(nodes))
+        return table(nodes)
+
+    monkeypatch.setattr(verify, "_type_table", counting)
+    report = verify.equivalence_sweep(6)
+    assert report.ok
+    counts = (report.types_seen, report.types_realizable, report.objects_total, report.pairs_checked)
+    assert counts == (229, 195, 234, 320)
+    # one record per non-empty beta, in walk order, of all its objects
+    assert built == all_partitions(6)[1:]
+    assert len(built) == 29
+    assert sum(sizes) == report.objects_total
 
 
 def test_sweep_picket_check_names_each_failing_object_once():
