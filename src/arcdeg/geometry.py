@@ -1,6 +1,17 @@
 """Dimension formulas for the strata of same-type objects and for the
 orbits of embeddings with both Jordan types fixed.
 
+The stratum of an object is the sum of three orbit dimensions: of the
+subspace operator, |alpha|^2 - aut_degree(alpha); of the ambient
+operator, |beta|^2 - aut_degree(beta); and of the embedding,
+hall_degree + aut_degree(alpha) - x, with x the crossings of its
+diagram.  aut_degree(alpha) cancels, and with aut_degree = |.| + 2 n(.)
+and hall_degree = n(beta) - n(alpha) - n(gamma) both dimensions are
+closed forms in the weights |.| and moments n(.) of the three types:
+
+    stratum = |alpha|^2 + |beta|^2 - |beta| - n(alpha) - n(beta) - n(gamma) - x
+    orbit   = n(beta) + n(alpha) - n(gamma) + |alpha| - x
+
 All quantities are exact integers; Python's arbitrary-precision ints
 rule out overflow.
 """
@@ -25,14 +36,13 @@ def stratum_dim(obj: S2Object) -> int:
 
 def _stratum_dim_less_crossings(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     """The stratum dimension plus the crossings: the part fixed by the
-    three Jordan types alone."""
-    return (
-        alpha.weight() ** 2
-        - aut_degree(alpha)
-        + beta.weight() ** 2
-        - aut_degree(beta)
-        + _orbit_dim(alpha, beta, gamma, 0)
-    )
+    three Jordan types alone.  In the sum of the three orbit dimensions
+    aut_degree(alpha) cancels, leaving
+
+        |alpha|^2 + |beta|^2 - |beta| - n(alpha) - n(beta) - n(gamma)
+    """
+    a, b = alpha.weight(), beta.weight()
+    return a * a + b * b - b - alpha.moment() - beta.moment() - gamma.moment()
 
 
 def hall_degree(alpha: Partition, beta: Partition, gamma: Partition) -> int:
@@ -56,4 +66,6 @@ def subspace_orbit_dim(obj: S2Object) -> int:
 
 
 def _orbit_dim(alpha: Partition, beta: Partition, gamma: Partition, x: int) -> int:
-    return hall_degree(alpha, beta, gamma) + aut_degree(alpha) - x
+    """hall_degree + aut_degree(alpha) - x, where -n(alpha) + 2 n(alpha)
+    leaves n(beta) + n(alpha) - n(gamma) + |alpha| - x."""
+    return beta.moment() + alpha.moment() - gamma.moment() + alpha.weight() - x

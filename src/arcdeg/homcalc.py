@@ -6,7 +6,8 @@ order, and the four-term mesh identity relating the two kinds of delta.
 The mesh runs over band cells (ell, t), labelled P1(ell), B2(ell, t) or
 the pair P2(ell) + P0(ell-1); every single label in a window n is a
 member of the test set at cutoff n + 1, so the mesh reads its hom deltas
-from one ``delta_profile`` at that cutoff.
+from one ``delta_profile`` at that cutoff.  The cells of a window, each
+with its four labels, are built once per window n and kept.
 
 Hom values are read only through the module attribute ``hom_indec``,
 so a patched ``hom_indec`` reaches every path.  Its cache is the one
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
+from itertools import product, starmap
 
 from .objects import B2, P1, Indecomposable, S2Object, object_type, require_same_type
 from .partitions import Partition
@@ -97,7 +99,7 @@ _COLUMNS: dict[tuple[Indecomposable, ...], dict[Indecomposable, tuple[int, ...]]
 
 def hom_obj(a: S2Object, b: S2Object) -> int:
     """Morphism-space dimension between objects, biadditive in both."""
-    return sum(hom_indec(s, t) for s in a for t in b)
+    return sum(starmap(hom_indec, product(a, b)))
 
 
 def delta_hom(y: S2Object, z: S2Object, x: Indecomposable) -> int:
@@ -188,6 +190,17 @@ def _band_label(ell: int, t: int) -> Indecomposable | None:
     return B2(ell, t) if t < ell - 1 else None
 
 
+# one window's band cells, each (ell, t) with the labels at (ell, t),
+# (ell+1, t+1), (ell+1, t) and (ell, t+1); the windows in use are few
+@lru_cache(maxsize=32)
+def _band_cells(n: int) -> tuple[tuple, ...]:
+    return tuple(
+        (ell, t, _band_label(ell, t), _band_label(ell + 1, t + 1), _band_label(ell + 1, t), _band_label(ell, t + 1))
+        for ell in range(2, n)
+        for t in range(0, ell - 1)
+    )
+
+
 def mesh_defect_report(y: S2Object, z: S2Object, n: int) -> list[MeshViolation]:
     """Check the four-term identity relating multiplicity deltas to hom
     deltas on every band cell (ell, t) with 2 <= ell <= n - 1 and
@@ -211,15 +224,8 @@ def mesh_defect_report(y: S2Object, z: S2Object, n: int) -> list[MeshViolation]:
     mult = Counter(z)
     mult.subtract(y)
     violations: list[MeshViolation] = []
-    for ell in range(2, n):
-        for t in range(0, ell - 1):
-            label = _band_label(ell, t)
-            rhs = (
-                dh[label]
-                + dh[_band_label(ell + 1, t + 1)]
-                - dh[_band_label(ell + 1, t)]
-                - dh[_band_label(ell, t + 1)]
-            )
-            if mult[label] != rhs:
-                violations.append(MeshViolation(ell, t, label, mult[label], rhs))
+    for ell, t, label, opposite, side, other_side in _band_cells(n):
+        rhs = dh[label] + dh[opposite] - dh[side] - dh[other_side]
+        if mult[label] != rhs:
+            violations.append(MeshViolation(ell, t, label, mult[label], rhs))
     return violations

@@ -281,25 +281,37 @@ def object_of_diagram(diagram: ArcDiagram, beta: Partition, gamma: Partition) ->
     a part that beta lacks or the resulting quotient type is not gamma.
     The object keeps (beta, gamma) as its type.
     """
-    summands = [s for m, r in diagram.arcs for s in arc_summands(m, r)]
-    summands.extend(P2(q) for q in diagram.loops)
-    summands.extend(P1(p) for p in diagram.poles)
+    # one pass: each arc, loop and pole gives its summands, ambient parts
+    # and quotient parts (zeros included) at once; an arc (m, r) has the
+    # quotient parts m - 1, r - 1 also at the boundary r = m - 1
+    summands, used, quotient = [], [], []
+    for m, r in diagram.arcs:
+        summands += arc_summands(m, r)
+        used += (m, r)
+        quotient += (m - 1, r - 1)
+    for q in diagram.loops:
+        summands.append(P2(q))
+        used.append(q)
+        quotient.append(q - 2)
+    for p in diagram.poles:
+        summands.append(P1(p))
+        used.append(p)
+        quotient.append(p - 1)
 
     remaining = list(beta)
-    for s in summands:
-        for part in s.ambient_parts():
-            try:
-                remaining.remove(part)
-            except ValueError:
-                raise InconsistentDiagram(
-                    f"diagram needs an ambient part {part} not available in {beta.to_text() or '()'}"
-                ) from None
-    summands.extend(P0(w) for w in remaining)
+    for part in used:
+        try:
+            remaining.remove(part)
+        except ValueError:
+            raise InconsistentDiagram(
+                f"diagram needs an ambient part {part} not available in {beta.to_text() or '()'}"
+            ) from None
+    summands += map(P0, remaining)
+    quotient += remaining
     # every part of beta is used exactly once, so only the quotient can differ
-    got_gamma = Partition([p for s in summands for p in s.quotient_parts()])
-    if got_gamma != gamma:
+    if tuple(sorted(filter(None, quotient), reverse=True)) != gamma:
         raise InconsistentDiagram(
-            f"diagram completes to type ({beta.to_text()};{got_gamma.to_text()}), "
+            f"diagram completes to type ({beta.to_text()};{Partition(quotient).to_text()}), "
             f"not ({beta.to_text()};{gamma.to_text()})"
         )
     obj = S2Object(summands)

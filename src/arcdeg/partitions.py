@@ -10,6 +10,8 @@ table.  Callers read the parts from the tuple itself.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import TypeMismatch
 
 
@@ -64,7 +66,7 @@ class Partition(tuple):
 
     def moment(self) -> int:
         """Weighted sum where the i-th largest part counts with weight i - 1."""
-        return sum(p * i for i, p in enumerate(self))
+        return sum(map(mul, self, range(len(self))))
 
     def contains(self, other: "Partition") -> bool:
         """Componentwise containment: every part of ``other`` fits under this one."""

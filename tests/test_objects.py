@@ -15,6 +15,7 @@ from arcdeg.objects import (
     Indecomposable,
     S2Object,
     alpha_of,
+    arc_summands,
     crossings,
     diagram_of_object,
     enumerate_objects,
@@ -131,6 +132,107 @@ def test_object_of_diagram_examples():
         # parts exist but the quotient type comes out wrong
         object_of_diagram(ArcDiagram([], [2]), Partition.of(2, 1), Partition.of(2))
     assert str(wrong.value) == "diagram completes to type (2,1;1,1), not (2,1;2)"
+
+
+def object_of_diagram_reference(diagram, beta, gamma):
+    """The two-pass round trip the one-pass ``object_of_diagram`` replaced:
+    build every summand first, then read its ambient and quotient parts."""
+    summands = [s for m, r in diagram.arcs for s in arc_summands(m, r)]
+    summands.extend(P2(q) for q in diagram.loops)
+    summands.extend(P1(p) for p in diagram.poles)
+
+    remaining = list(beta)
+    for s in summands:
+        for part in s.ambient_parts():
+            try:
+                remaining.remove(part)
+            except ValueError:
+                raise InconsistentDiagram(
+                    f"diagram needs an ambient part {part} not available in {beta.to_text() or '()'}"
+                ) from None
+    summands.extend(P0(w) for w in remaining)
+    got_gamma = Partition([p for s in summands for p in s.quotient_parts()])
+    if got_gamma != gamma:
+        raise InconsistentDiagram(
+            f"diagram completes to type ({beta.to_text()};{got_gamma.to_text()}), "
+            f"not ({beta.to_text()};{gamma.to_text()})"
+        )
+    obj = S2Object(summands)
+    obj._type = (beta, gamma)
+    return obj
+
+
+def round_trip_outcome(build, diagram, beta, gamma):
+    """The object with its kept type, or the error text."""
+    try:
+        obj = build(diagram, beta, gamma)
+    except InconsistentDiagram as err:
+        return str(err)
+    return type(obj), obj, obj._type
+
+
+def test_object_of_diagram_matches_the_reference_up_to_weight_8():
+    count = 0
+    for beta in all_partitions(8)[1:]:
+        for obj in enumerate_objects(beta):
+            gamma = object_type(obj)[1]
+            outcome = round_trip_outcome(object_of_diagram, diagram_of_object(obj), beta, gamma)
+            assert outcome == round_trip_outcome(object_of_diagram_reference, diagram_of_object(obj), beta, gamma)
+            assert outcome == (S2Object, obj, (beta, gamma))
+            count += 1
+    assert count == 910
+
+
+def perturbed_diagrams(d, max_point):
+    """Each diagram one edit away from d: one arc, pole or loop dropped,
+    one pole moved to another point in 1..max_point, one loop turned
+    into a pole."""
+    def without(group, i):
+        return group[:i] + group[i + 1 :]
+
+    for i in range(len(d.arcs)):
+        yield ArcDiagram(without(d.arcs, i), d.poles, d.loops)
+    for i, p in enumerate(d.poles):
+        yield ArcDiagram(d.arcs, without(d.poles, i), d.loops)
+        for q in range(1, max_point + 1):
+            if q != p:
+                yield ArcDiagram(d.arcs, without(d.poles, i) + (q,), d.loops)
+    for i, q in enumerate(d.loops):
+        yield ArcDiagram(d.arcs, d.poles, without(d.loops, i))
+        yield ArcDiagram(d.arcs, d.poles + (q,), without(d.loops, i))
+
+
+def test_object_of_diagram_matches_the_reference_on_perturbed_diagrams():
+    outcomes = Counter()
+    for beta, gamma in iter_types(6):
+        for obj in enumerate_objects(beta, gamma):
+            for d in perturbed_diagrams(diagram_of_object(obj), beta.max_part + 1):
+                outcome = round_trip_outcome(object_of_diagram, d, beta, gamma)
+                assert outcome == round_trip_outcome(object_of_diagram_reference, d, beta, gamma), d
+                kind = outcome.split()[1] if isinstance(outcome, str) else "object"
+                outcomes[kind] += 1
+                if kind == "completes":
+                    # and again at the quotient type the diagram completes to
+                    completed = Partition.from_text(outcome.split(";")[1].split(")")[0])
+                    again = round_trip_outcome(object_of_diagram, d, beta, completed)
+                    assert again == round_trip_outcome(object_of_diagram_reference, d, beta, completed), d
+                    assert again[0] is S2Object and again[1:] == (S2Object(again[1]), (beta, completed)), again
+                    outcomes["object"] += 1
+    # every kind of outcome occurs
+    assert set(outcomes) == {"object", "needs", "completes"}, outcomes
+
+
+def test_object_of_diagram_names_the_first_missing_part():
+    # arcs, then loops, then poles: 5 is the first part that 1 lacks
+    with pytest.raises(InconsistentDiagram) as err:
+        object_of_diagram(ArcDiagram([(5, 4)], [6], [7]), Partition.of(1), Partition())
+    assert str(err.value) == "diagram needs an ambient part 5 not available in 1"
+    with pytest.raises(InconsistentDiagram) as err:
+        object_of_diagram(ArcDiagram([], [6], [7]), Partition.of(1), Partition())
+    assert str(err.value) == "diagram needs an ambient part 7 not available in 1"
+    with pytest.raises(InconsistentDiagram) as err:
+        object_of_diagram(ArcDiagram([(3, 1)], [], []), Partition.of(3), Partition())
+    assert str(err.value) == "diagram needs an ambient part 1 not available in 3"
 
 
 def test_crossings_examples():

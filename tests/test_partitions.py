@@ -96,6 +96,11 @@ def test_moment_examples():
     assert Partition.of(2, 1, 1, 1, 1).moment() == 10
 
 
+def test_moment_is_the_weighted_sum_of_parts_up_to_weight_12():
+    for p in all_partitions(12):
+        assert p.moment() == sum(i * part for i, part in enumerate(p))
+
+
 def test_contains_examples():
     assert Partition.of(4, 3, 3, 2, 1).contains(Partition.of(3, 2, 1, 1))
     assert not Partition.of(2, 2).contains(Partition.of(3))

@@ -263,6 +263,16 @@ def test_cli_hasse_dot_is_byte_identical_on_staircase_9(capsys):
     )
 
 
+def test_cli_verify_is_byte_identical_at_weight_8(capsys):
+    # digest recorded from the two-pass diagram round trip and the stratum
+    # dimension summed from three orbit dimensions
+    code, out, _ = run_cli(capsys, "verify", "--beta-max", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d4fe43a50eacd71dc258309a87f381834c81e18dd59e7f4ccd169778d68052db"
+    )
+
+
 def test_cli_enumerate_json_is_byte_identical_on_staircase_8(capsys):
     # digest recorded from the enumerator that rebuilt each summand per step
     code, out, _ = run_cli(
