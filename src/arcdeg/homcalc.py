@@ -13,15 +13,29 @@ Hom values are read only through the module attribute ``hom_indec``,
 so a patched ``hom_indec`` reaches every path.  Its cache is the one
 table of pair values (``hom_obj``, ``delta_hom``); it holds at most the
 square of the number of indecomposables with parts up to the largest
-part seen.  ``_hom_rows(xs, objects)``, the kernel that gives each
-object the tuple of [x, o] over the indecomposables xs as a sum of its
-summands' columns, keeps one column per (test set, summand).  Summands
-and test sets are their own keys.  Both tables outlive a call, so later
-calls and other types reuse them.  A whole type's hom order is one
-matrix (objects by test set) with y below z iff row y is entrywise at
-most row z; the sweep reads it this way.  Point queries take one cached
-row per object (``_hom_profile``, the same kernel on a single object,
-for the 4096 most recent).
+part seen.
+
+A hom row over indecomposables x_0 .. x_{n-1} is one integer, the sum
+of [x_k, o] << (w * k): field k holds [x_k, o] in w bits whose top bit
+stays a zero guard.  Every entry [x, s] lies in [0, 2|s|], |s| the
+weight of ``s.ambient_parts()``, so an entry of an object of ambient
+type beta is at most 2|beta|, and w = bit_length(2|beta|) + 1
+(``_row_width``) keeps it below the guard.  ``_hom_rows(xs, objects,
+w)`` sums each object's summands' packed columns, by biadditivity; a
+column entry outside that bound raises ``InternalInvariantViolation``
+naming the entry, so a faulty table never yields a wrong row.  With G
+the guard bits, row y is entrywise at most row z iff ((z | G) - y) & G
+== G: no borrow crosses a field, and field k of (z | G) - y is
+[x_k, z] - [x_k, y] + 2^(w-1).  ``_COLUMNS`` keeps one table per
+(member list, width) with one column per summand; member lists are
+fixed by a bound on the parts and widths by the bit length of 2|beta|,
+so it grows with the parts and weights seen, not with the number of
+queries.  Summands and member lists are their own keys, and both
+tables outlive a call, so later calls and other types reuse them.  A
+whole type's hom order is one list of rows (one per object), compared
+pair by pair as above; the sweep reads it this way.  Point queries take
+one cached row per object (``_hom_profile``, the same kernel on a
+single object, for the 4096 most recent).
 
 The dimension of the morphism space between two indecomposables is a
 closed formula in the parameters, built from truncated minima:
@@ -48,6 +62,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import product, starmap
 
+from .errors import InternalInvariantViolation
 from .objects import B2, P1, Indecomposable, S2Object, object_type, require_same_type
 from .partitions import Partition
 
@@ -93,8 +108,9 @@ def hom_indec(x: Indecomposable, y: Indecomposable) -> int:
     return table_entry(*x, *y)
 
 
-# per test set, per summand, the column of [x, s] over the test set; see _hom_rows
-_COLUMNS: dict[tuple[Indecomposable, ...], dict[Indecomposable, tuple[int, ...]]] = {}
+# per (member list, width), per summand, the packed column of [x, s] over
+# the members; see _hom_rows
+_COLUMNS: dict[tuple[tuple[Indecomposable, ...], int], dict[Indecomposable, int]] = {}
 
 
 def hom_obj(a: S2Object, b: S2Object) -> int:
@@ -137,44 +153,83 @@ def _test_set(bound: int) -> tuple[Indecomposable, ...]:
     return tuple(members)
 
 
-def _hom_rows(xs, objects) -> list[tuple[int, ...]]:
-    """For each object o, the tuple of [x, o] over the indecomposables xs:
-    one column of ``hom_indec`` values per distinct summand, summed.
+def _row_width(beta: Partition) -> int:
+    """Bits per field of the packed hom rows of objects of ambient type
+    beta: their entries are at most 2|beta|, below each field's guard bit."""
+    return (2 * beta.weight()).bit_length() + 1
 
-    Columns are kept per (xs, summand) and reused by later calls on any
-    type.  Callers pass test sets and picket probe lists, which are fixed
-    by a bound on the parts, so the table holds at most one column per
-    summand for each such bound in use."""
-    cols = _COLUMNS.setdefault(tuple(xs), {})
+
+def _guard(n: int, w: int) -> int:
+    """The guard bits, the top bit of each of n fields of w bits."""
+    return ((1 << n * w) - 1) // ((1 << w) - 1) << (w - 1)
+
+
+def _fields(row: int, n: int, w: int) -> tuple[int, ...]:
+    """The n fields of w bits of a packed row, field 0 first."""
+    mask = (1 << w) - 1
+    return tuple(row >> shift & mask for shift in range(0, n * w, w))
+
+
+def _column(xs, s: Indecomposable, w: int) -> int:
+    """The packed column of [x, s] over xs; an entry outside [0, 2|s|]
+    raises rather than spill into the next field."""
+    cap = 2 * sum(s.ambient_parts())
+    col = 0
+    for k, x in enumerate(xs):
+        value = hom_indec(x, s)
+        if not 0 <= value <= cap:
+            raise InternalInvariantViolation(
+                f"hom table entry [{x.to_text()}, {s.to_text()}] = {value} lies outside [0, {cap}]"
+            )
+        col |= value << w * k
+    return col
+
+
+def _hom_rows(xs, objects, w: int) -> list[int]:
+    """For each object o, the packed row of [x, o] over the
+    indecomposables xs in fields of w bits: the sum of one packed column
+    of ``hom_indec`` values per summand.  w is at least the
+    ``_row_width`` of every object's ambient type.
+
+    Columns are kept per (xs, w, summand) and reused by later calls on
+    any type.  Callers pass test sets and picket probe lists, which are
+    fixed by a bound on the parts, so the table holds at most one column
+    per summand for each such bound and width in use."""
+    cols = _COLUMNS.setdefault((tuple(xs), w), {})
     rows = []
     for o in objects:
-        summed = []
+        row = 0
         for s in o:
             col = cols.get(s)
             if col is None:
-                col = cols[s] = tuple(hom_indec(x, s) for x in xs)
-            summed.append(col)
-        # the zero object has no column to sum
-        rows.append(tuple(map(sum, zip(*summed))) if summed else (0,) * len(xs))
+                col = cols[s] = _column(xs, s, w)
+            row += col
+        rows.append(row)
     return rows
 
 
 @lru_cache(maxsize=4096)
-def _hom_profile(obj: S2Object, bound: int | None) -> tuple[int, ...]:
-    return _hom_rows(test_set(object_type(obj)[0], bound), (obj,))[0]
+def _hom_profile(obj: S2Object, bound: int | None) -> int:
+    beta = object_type(obj)[0]
+    return _hom_rows(test_set(beta, bound), (obj,), _row_width(beta))[0]
 
 
 def delta_profile(y: S2Object, z: S2Object, bound: int | None = None) -> tuple[int, ...]:
     """[x, z] - [x, y] for same-type objects y, z and each x of
     ``test_set(beta, bound)``, in test-set order."""
-    require_same_type(y, z)
-    return tuple(b - a for a, b in zip(_hom_profile(y, bound), _hom_profile(z, bound)))
+    beta = require_same_type(y, z)
+    n, w = len(test_set(beta, bound)), _row_width(beta)
+    # field k of (z | G) - y is [x_k, z] - [x_k, y] + 2^(w-1)
+    diff = (_hom_profile(z, bound) | _guard(n, w)) - _hom_profile(y, bound)
+    return tuple(f - (1 << w - 1) for f in _fields(diff, n, w))
 
 
 def hom_leq(y: S2Object, z: S2Object) -> bool:
     """True when [x, y] <= [x, z] for every test object x."""
-    # the zero object has an empty test set and is below itself
-    return min(delta_profile(y, z), default=0) >= 0
+    beta = require_same_type(y, z)
+    guard = _guard(len(test_set(beta)), _row_width(beta))
+    # a field borrows its guard bit exactly when its entry of y exceeds z's
+    return ((_hom_profile(z, None) | guard) - _hom_profile(y, None)) & guard == guard
 
 
 # one violated band cell of the mesh identity

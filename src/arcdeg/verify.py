@@ -28,23 +28,23 @@ The moves, crossings, dimensions and extrema are read from the record,
 where a move count above the successor count means a move leaves the
 type; ``down_moves`` then names the moves that leave, and a count it
 does not match is reported too.  Both orders come from tables built
-once per beta: the hom order from one hom matrix per test set
-(``homcalc._hom_rows``), where y <= z iff row y is entrywise at most
-row z, and the arc order from the bitset closure of the record
-(``moves._reach_ids``), where y <= z iff bit y is set in the closure of
-z.  The point queries ``hom_leq`` and ``arc_leq`` decide the same orders
-pair by pair and are the tests' reference for both tables.
+once per beta: the hom order from one packed hom row per object and
+test set (``homcalc._hom_rows``), where y <= z iff row y is entrywise
+at most row z, decided by one guarded subtraction per pair, and the arc
+order from the bitset closure of the record (``moves._reach_ids``),
+where y <= z iff bit y is set in the closure of z.  The point queries
+``hom_leq`` and ``arc_leq`` decide the same orders pair by pair and are
+the tests' reference for both tables.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from operator import le
 
 from .errors import InconsistentDiagram
 from .geometry import _orbit_dim, aut_degree
-from .homcalc import _hom_rows, delta_profile, hom_obj, mesh_defect_report, test_set
+from .homcalc import _fields, _guard, _hom_rows, _row_width, delta_profile, hom_obj, mesh_defect_report, test_set
 from .lr import minimal_count_prediction
 from .moves import (
     MOVE_ARITY,
@@ -154,11 +154,13 @@ def _check_ambient(report: SweepReport, beta: Partition):
     dims = _node_dims(graph, beta)
     aut_beta = aut_degree(beta)
     probes = _picket_probes(beta.max_part)
-    picket_rows = _hom_rows(probes, objects)
-    # y <= z in the hom order iff row y <= row z entrywise, and in the
-    # arc order iff bit y is set in the closure of z
-    rows = _hom_rows(test_set(beta), objects)
-    wide_rows = _hom_rows(test_set(beta, beta.max_part + 4), objects)
+    w = _row_width(beta)
+    picket_rows = _hom_rows(probes, objects, w)
+    # y <= z in the hom order iff ((row z | G) - row y) & G == G, G the
+    # guard bits, and in the arc order iff bit y is set in the closure of z
+    xs, wide_xs = test_set(beta), test_set(beta, beta.max_part + 4)
+    guard, wide_guard = _guard(len(xs), w), _guard(len(wide_xs), w)
+    rows, wide_rows = _hom_rows(xs, objects, w), _hom_rows(wide_xs, objects, w)
     reach = _reach_ids(graph)
     for gamma in subpartitions(beta):
         report.types_seen += 1
@@ -185,9 +187,11 @@ def _check_ambient(report: SweepReport, beta: Partition):
                 back = None
             if back != obj:
                 report.fail("roundtrip", obj.to_text())
-            for probe, value, expected in zip(probes, picket_rows[i], picket_rows[ids[0]]):
-                if value != expected:
-                    report.fail("picket-delta-zero", f"{probe.to_text()} on {first.to_text()} vs {obj.to_text()}")
+            if picket_rows[i] != picket_rows[ids[0]]:
+                values = _fields(picket_rows[i], len(probes), w)
+                for probe, value, expected in zip(probes, values, _fields(picket_rows[ids[0]], len(probes), w)):
+                    if value != expected:
+                        report.fail("picket-delta-zero", f"{probe.to_text()} on {first.to_text()} vs {obj.to_text()}")
             uncrossed, auts = orbit[alpha]
             if uncrossed - graph.crossings[i] != auts - hom_obj(obj, obj):
                 report.fail("dimension-identity", obj.to_text())
@@ -209,13 +213,15 @@ def _check_ambient(report: SweepReport, beta: Partition):
                         "move-type",
                         f"moves leaving the type from {obj.to_text()}: {leaving} in the record, {named} in down_moves",
                     )
+        report.pairs_checked += len(ids) ** 2
         for i in ids:
+            # the guard bits of a row are 0, so (row z | G) - row y is row z - (row y - G)
+            low, wide_low = rows[i] - guard, wide_rows[i] - wide_guard
             for j in ids:
-                report.pairs_checked += 1
-                hom = all(map(le, rows[i], rows[j]))
+                hom = (rows[j] - low) & guard == guard
                 if bool(reach[j] >> i & 1) != hom:
                     report.fail("order-equivalence", f"{objects[i].to_text()} vs {objects[j].to_text()}")
-                if all(map(le, wide_rows[i], wide_rows[j])) != hom:
+                if ((wide_rows[j] - wide_low) & wide_guard == wide_guard) != hom:
                     report.fail("test-set-bound", f"{objects[i].to_text()} vs {objects[j].to_text()}")
         maximal, minimal = _extrema_ids(graph, ids)
         if len(maximal) != 1:

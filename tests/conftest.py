@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from arcdeg import homcalc
 from arcdeg.errors import InternalInvariantViolation
 from arcdeg.moves import Move, _apply, _move_candidates
 from arcdeg.objects import ArcDiagram, S2Object
@@ -57,6 +58,40 @@ def down_closure(arcs, poles) -> frozenset:
                 reach.add(nxt)
                 stack.append(nxt)
     return frozenset(reach)
+
+
+# per member list, per summand, the tuple column of [x, s]; see tuple_hom_rows
+_TUPLE_COLUMNS: dict = {}
+
+
+def tuple_hom_rows(xs, objects) -> list[tuple[int, ...]]:
+    """For each object o, the tuple of [x, o] over the indecomposables xs:
+    one column of ``hom_indec`` values per distinct summand, summed.  The
+    tuple reference for the packed rows of ``homcalc._hom_rows``; it
+    reads ``homcalc.hom_indec`` at call time, so a patched table reaches
+    it, and keeps its columns apart from the library's."""
+    cols = _TUPLE_COLUMNS.setdefault(tuple(xs), {})
+    rows = []
+    for o in objects:
+        summed = []
+        for s in o:
+            col = cols.get(s)
+            if col is None:
+                col = cols[s] = tuple(homcalc.hom_indec(x, s) for x in xs)
+            summed.append(col)
+        # the zero object has no column to sum
+        rows.append(tuple(map(sum, zip(*summed))) if summed else (0,) * len(xs))
+    return rows
+
+
+def pack_row(values, w: int) -> int:
+    """The packed row holding ``values`` in fields of w bits, field 0 lowest."""
+    return sum(v << w * k for k, v in enumerate(values))
+
+
+def unpack_row(row: int, n: int, w: int) -> tuple[int, ...]:
+    """The n fields of w bits of a packed row, field 0 first."""
+    return tuple(row >> w * k & (1 << w) - 1 for k in range(n))
 
 
 def iter_types(max_weight: int):

@@ -30,7 +30,7 @@ from arcdeg.partitions import Partition, is_column_strip
 from arcdeg.reduction import reduction_chain
 from arcdeg.verify import random_same_type_pairs, random_unit_pairs
 
-from conftest import DESCENT_Y, DESCENT_Z
+from conftest import DESCENT_Y, DESCENT_Z, ROOT, run_python
 
 
 def _report(n: int, detail: str = ""):
@@ -151,7 +151,7 @@ def test_criterion_07_region_formulas_random_unit_pairs():
 def test_criterion_08_oracle_agreement():
     t0 = time.time()
     indecs = []
-    for m in range(1, 7):
+    for m in range(1, 11):
         indecs.append(P0(m))
         indecs.append(P1(m))
         if m >= 2:
@@ -162,12 +162,37 @@ def test_criterion_08_oracle_agreement():
         for x in indecs:
             for y in indecs:
                 ox, oy = S2Object.of(x), S2Object.of(y)
-                assert oracle_hom_dim(ox, oy, p) == hom_obj(ox, oy)
+                assert oracle_hom_dim(ox, oy, p) == hom_obj(ox, oy), f"[{x.to_text()}, {y.to_text()}] at p = {p}"
                 pairs += 1
     assert oracle_hom_dim(S2Object.of(B2(5, 2)), S2Object.of(B2(4, 2)), 2) == 9
     elapsed = time.time() - t0
     assert elapsed < 30.0
     _report(8, f"oracle equals table on {pairs} solves over two primes ({elapsed:.1f}s)")
+
+
+# One table entry beyond part 6 one too large, patched into a fresh
+# interpreter before any hom value is computed: criterion 8 must fail on
+# it and name it.  The random mesh stream of ``verify`` (100 pairs, seed
+# 20_26) reports no failure under this fault.
+ORACLE_FAULT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from arcdeg import homcalc
+from arcdeg.objects import B2
+table = homcalc.hom_indec
+homcalc.hom_indec = lambda x, y: table(x, y) + (x == B2(9, 4) and y == B2(8, 5))
+from test_acceptance import test_criterion_08_oracle_agreement
+try:
+    test_criterion_08_oracle_agreement()
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_criterion_08_names_a_table_fault_beyond_part_6():
+    proc = run_python("-c", ORACLE_FAULT, str(ROOT / "tests"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[B(9,4), B(8,5)] at p = 2\n"
 
 
 def test_criterion_09_cross_type_hom_fixtures():

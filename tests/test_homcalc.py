@@ -1,4 +1,5 @@
 import json
+from operator import le
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from arcdeg.errors import TypeMismatch
 from arcdeg.homcalc import (
     MeshViolation,
     _hom_rows,
+    _row_width,
     delta_hom,
     delta_mult,
     delta_profile,
@@ -21,9 +23,9 @@ from arcdeg.homcalc import (
 from arcdeg.moves import Move, unit_pair
 from arcdeg.objects import B2, P0, P1, P2, S2Object, enumerate_objects, object_type
 from arcdeg.partitions import Partition
-from arcdeg.verify import random_same_type_pairs
+from arcdeg.verify import _picket_probes, all_partitions, random_same_type_pairs
 
-from conftest import DESCENT_Y, DESCENT_Z, ORDER_PATCH, ROOT, run_python
+from conftest import DESCENT_Y, DESCENT_Z, ORDER_PATCH, ROOT, pack_row, run_python, tuple_hom_rows, unpack_row
 
 
 def test_hom_indec_table_values():
@@ -238,45 +240,124 @@ def test_mesh_defect_report_over_a_type():
                 assert mesh_defect_report(y, z, n) == _mesh_reference(y, z, n) == []
 
 
+def _guard_bits(n, w):
+    """The top bit of each of n fields of w bits, packed independently of homcalc."""
+    return pack_row([1 << w - 1] * n, w)
+
+
+def test_packed_rows_unpack_to_the_tuple_reference_up_to_weight_9():
+    # the picket, default and wide tables the sweep packs, per ambient type
+    for beta in all_partitions(9)[1:]:
+        objects, w = enumerate_objects(beta), _row_width(beta)
+        for xs in (_picket_probes(beta.max_part), hom_test_set(beta), hom_test_set(beta, beta.max_part + 4)):
+            rows = [unpack_row(row, len(xs), w) for row in _hom_rows(xs, objects, w)]
+            assert rows == tuple_hom_rows(xs, objects), (beta, len(xs))
+
+
+def test_packed_verdicts_equal_the_tuple_reference_up_to_weight_10():
+    # every ordered pair of objects of one ambient type, across quotients
+    pairs = 0
+    for beta in all_partitions(10)[1:]:
+        objects, w = enumerate_objects(beta), _row_width(beta)
+        for xs in (_picket_probes(beta.max_part), hom_test_set(beta), hom_test_set(beta, beta.max_part + 4)):
+            guard = _guard_bits(len(xs), w)
+            rows, ref = _hom_rows(xs, objects, w), tuple_hom_rows(xs, objects)
+            for y, ref_y in zip(rows, ref):
+                for z, ref_z in zip(rows, ref):
+                    assert (((z | guard) - y) & guard == guard) == all(map(le, ref_y, ref_z)), (beta, len(xs))
+                    pairs += 1
+    assert pairs == 3 * 118_659
+
+
+def test_point_queries_equal_the_tuple_reference():
+    pairs = [*random_same_type_pairs(300, 10, seed=23), (S2Object(), S2Object())]
+    for y, z in pairs:
+        beta = object_type(y)[0]
+        for bound in (None, beta.max_part + 4):
+            ref_y, ref_z = tuple_hom_rows(hom_test_set(beta, bound), (y, z))
+            assert delta_profile(y, z, bound) == tuple(b - a for a, b in zip(ref_y, ref_z)), (y, z, bound)
+            if bound is None:
+                assert hom_leq(y, z) == all(map(le, ref_y, ref_z)), (y, z)
+
+
 # Each query kind runs alone in a fresh interpreter whose hom_indec is
-# scaled by 1000, so its hom tables are empty when the patch goes in and
-# any value that bypasses hom_indec comes out unscaled.
+# transformed ("x1000" scales it, "half" halves it), so its hom tables are
+# empty when the patch goes in and any value that bypasses hom_indec comes
+# out untransformed.  The tuple reference then runs under the same patch.
 SCALED_HOM = """
 import json, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import tuple_hom_rows
 from arcdeg import homcalc
+from arcdeg.errors import InternalInvariantViolation
 from arcdeg.objects import S2Object
 table = homcalc.hom_indec
-homcalc.hom_indec = lambda x, y: 1000 * table(x, y)
-y, z = (S2Object.from_text(t) for t in sys.argv[2:4])
-xs = homcalc.test_set(homcalc.object_type(y)[0])
+homcalc.hom_indec = {"x1000": lambda x, y: 1000 * table(x, y), "half": lambda x, y: table(x, y) // 2}[sys.argv[2]]
+y, z = (S2Object.from_text(t) for t in sys.argv[4:6])
+beta = homcalc.object_type(y)[0]
+xs = homcalc.test_set(beta)
 queries = {
     "hom_obj": lambda: homcalc.hom_obj(y, z),
     "delta_hom": lambda: [homcalc.delta_hom(y, z, x) for x in xs],
     "delta_profile": lambda: homcalc.delta_profile(y, z),
-    "_hom_rows": lambda: homcalc._hom_rows(xs, (y, z)),
+    "_hom_rows": lambda: homcalc._hom_rows(xs, (y, z), homcalc._row_width(beta)),
 }
-print(json.dumps(queries[sys.argv[1]]()))
+try:
+    answer = queries[sys.argv[3]]()
+except InternalInvariantViolation as exc:
+    answer = {"error": str(exc)}
+print(json.dumps({"answer": answer, "reference": tuple_hom_rows(xs, (y, z))}))
 """
+
+
+def _scaled_hom(transform, query, y, z):
+    proc = run_python("-c", SCALED_HOM, str(ROOT / "tests"), transform, query, y.to_text(), z.to_text())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _out_of_bound(x, s, value):
+    return f"hom table entry [{x.to_text()}, {s.to_text()}] = {value} lies outside [0, {2 * sum(s.ambient_parts())}]"
 
 
 @pytest.mark.parametrize("query", ["hom_obj", "delta_hom", "delta_profile", "_hom_rows"])
 def test_hom_tables_are_filled_through_hom_indec(query):
     y, z = DESCENT_Y, DESCENT_Z
     xs = hom_test_set(object_type(y)[0])
+    answer = _scaled_hom("x1000", query, y, z)["answer"]
+    if query in ("delta_profile", "_hom_rows"):
+        # x1000 fits no field width: the packed paths name the first
+        # nonzero entry of the first row they build (z's for the profile)
+        s = (z if query == "delta_profile" else y)[0]
+        x = next(x for x in xs if hom_indec(x, s))
+        assert answer == {"error": _out_of_bound(x, s, 1000 * hom_indec(x, s))}
+        return
     expected = {
         "hom_obj": lambda: hom_obj(y, z),
         "delta_hom": lambda: [delta_hom(y, z, x) for x in xs],
-        "delta_profile": lambda: list(delta_profile(y, z)),
-        "_hom_rows": lambda: [list(row) for row in _hom_rows(xs, (y, z))],
     }[query]()
-    proc = run_python("-c", SCALED_HOM, query, y.to_text(), z.to_text())
-    assert proc.returncode == 0, proc.stderr
 
     def scale(value):
         return [scale(v) for v in value] if isinstance(value, list) else 1000 * value
 
     assert scale(expected) != expected  # some value is nonzero, so the patch shows
-    assert json.loads(proc.stdout) == scale(expected)
+    assert answer == scale(expected)
+
+
+@pytest.mark.parametrize("query", ["delta_profile", "_hom_rows"])
+def test_packed_paths_are_filled_through_hom_indec_within_the_bound(query):
+    # halving keeps every entry in [0, 2|s|], so the packed paths answer,
+    # and each answer is the tuple reference's under the same patch
+    y, z = DESCENT_Y, DESCENT_Z
+    beta = object_type(y)[0]
+    out = _scaled_hom("half", query, y, z)
+    ref_y, ref_z = out["reference"]
+    assert [ref_y, ref_z] != [list(row) for row in tuple_hom_rows(hom_test_set(beta), (y, z))]
+    expected = {
+        "delta_profile": [b - a for a, b in zip(ref_y, ref_z)],
+        "_hom_rows": [pack_row(ref_y, _row_width(beta)), pack_row(ref_z, _row_width(beta))],
+    }[query]
+    assert out["answer"] == expected
 
 
 # One fresh interpreter, one fault in the pair table, patched before any
@@ -290,20 +371,22 @@ from arcdeg.objects import B2, P2, S2Object
 table = homcalc.hom_indec
 homcalc.hom_indec = lambda x, y: table(x, y) + (x == B2(3, 1) and y == P2(5))
 y, z = (S2Object.from_text(t) for t in sys.argv[1:3])
-xs = homcalc.test_set(homcalc.object_type(y)[0])
+beta = homcalc.object_type(y)[0]
+xs = homcalc.test_set(beta)
 print(json.dumps({
     "hom_leq": homcalc.hom_leq(y, z),
     "delta_profile": homcalc.delta_profile(y, z),
     "delta_hom": [homcalc.delta_hom(y, z, x) for x in xs],
     "hom_obj": homcalc.hom_obj(S2Object.of(B2(3, 1)), y),
-    "_hom_rows": homcalc._hom_rows(xs, (y, z)),
+    "_hom_rows": homcalc._hom_rows(xs, (y, z), homcalc._row_width(beta)),
 }))
 """
 
 
 def test_one_hom_table_carries_a_fault_to_every_path():
     y, z = DESCENT_Y, DESCENT_Z
-    xs = hom_test_set(object_type(y)[0])
+    beta = object_type(y)[0]
+    xs = hom_test_set(beta)
 
     def answers(pair):
         def row(o):
@@ -324,4 +407,72 @@ def test_one_hom_table_carries_a_fault_to_every_path():
     assert all(faulty[path] != clean[path] for path in clean)
     proc = run_python("-c", ONE_ENTRY_FAULT, y.to_text(), z.to_text())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == faulty
+    got = json.loads(proc.stdout)
+    got["_hom_rows"] = [list(unpack_row(row, len(xs), _row_width(beta))) for row in got["_hom_rows"]]
+    assert got == faulty
+
+
+def _indecomposables(max_part):
+    """Every indecomposable with parts at most max_part."""
+    out = []
+    for m in range(1, max_part + 1):
+        out += [P0(m), P1(m), *([P2(m)] if m >= 2 else []), *(B2(m, r) for r in range(1, m - 1))]
+    return out
+
+
+def test_hom_table_entries_lie_within_the_packing_bound():
+    # the field width of a packed row rests on 0 <= [x, s] <= 2|s|
+    indecs = _indecomposables(16)
+    assert len(indecs) == 152
+    reached = 0
+    for s in indecs:
+        cap = 2 * sum(s.ambient_parts())
+        for x in indecs:
+            assert 0 <= hom_indec(x, s) <= cap, (x, s)
+            reached += hom_indec(x, s) == cap
+    assert reached  # the bound is sharp
+
+
+# One entry of the pair table pushed out of [0, 2|s|] in a fresh
+# interpreter: every packed path refuses the entry by name, and the CLI
+# turns the refusal into exit code 2 with no traceback.
+OUT_OF_BOUND_FAULT = """
+import json, sys
+from arcdeg import homcalc
+from arcdeg.cli import main
+from arcdeg.errors import InternalInvariantViolation
+from arcdeg.objects import S2Object
+y, z, x, s = (S2Object.from_text(t) for t in sys.argv[1:5])
+fault, value = (x[0], s[0]), int(sys.argv[5])
+table = homcalc.hom_indec
+homcalc.hom_indec = lambda a, b: value if (a, b) == fault else table(a, b)
+beta = homcalc.object_type(y)[0]
+paths = {
+    "_hom_rows": lambda: homcalc._hom_rows(homcalc.test_set(beta), (y,), homcalc._row_width(beta)),
+    "delta_profile": lambda: homcalc.delta_profile(y, z),
+    "hom_leq": lambda: homcalc.hom_leq(y, z),
+}
+errors = {}
+for name, path in paths.items():
+    try:
+        path()
+    except InternalInvariantViolation as exc:
+        errors[name] = str(exc)
+print(json.dumps(errors))
+print(main(["hom", "--x", y.to_text(), "--y", z.to_text()]))
+"""
+
+
+@pytest.mark.parametrize("x, s, value", [(B2(3, 1), P2(5), 11), (P1(2), P0(4), -1)])
+def test_an_entry_outside_the_bound_is_refused_by_name(x, s, value):
+    # one entry at 2|s| + 1, one at -1; s is a summand of y alone
+    y, z = DESCENT_Y, DESCENT_Z
+    assert value in (-1, 2 * sum(s.ambient_parts()) + 1) and s in y and s not in z
+    texts = (y.to_text(), z.to_text(), x.to_text(), s.to_text(), str(value))
+    proc = run_python("-c", OUT_OF_BOUND_FAULT, *texts)
+    assert proc.returncode == 0, proc.stderr
+    errors, code = proc.stdout.splitlines()
+    message = _out_of_bound(x, s, value)
+    assert json.loads(errors) == dict.fromkeys(["_hom_rows", "delta_profile", "hom_leq"], message)
+    assert code == "2"
+    assert proc.stderr == f"error: {message}\n"

@@ -4,14 +4,14 @@ import json
 import pytest
 
 from arcdeg.cli import main
-from arcdeg.homcalc import _hom_rows, delta_profile, hom_leq, hom_obj, test_set as hom_test_set
+from arcdeg.homcalc import _guard, _hom_rows, _row_width, delta_profile, hom_leq, hom_obj, test_set as hom_test_set
 from arcdeg.geometry import stratum_dim
 from arcdeg.moves import _reach_ids, _type_graph, arc_leq, down_moves
 from arcdeg.objects import ArcDiagram, S2Object, alpha_of, diagram_of_object, enumerate_objects, object_type
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions, mesh_check, region_check, subpartitions
 
-from conftest import DESCENT_Y, DESCENT_Z, ORDER_PATCH, iter_types, run_python
+from conftest import DESCENT_Y, DESCENT_Z, ORDER_PATCH, iter_types, run_python, tuple_hom_rows, unpack_row
 
 # Faults are injected in a fresh interpreter: patched in this process they
 # would leave wrong entries in the session-wide type-graph, closure and
@@ -566,27 +566,32 @@ def test_mesh_check_order_fault_report():
 
 
 def test_sweep_tables_match_point_queries_up_to_weight_7():
-    # the sweep reads both orders from whole-type tables; the per-pair
-    # hom_leq and arc_leq stay the reference
+    # the sweep reads both orders from whole-type tables; the tuple
+    # reference rows and the per-pair hom_leq and arc_leq check them
     pairs = 0
     for beta, gamma in iter_types(7):
         graph = _type_graph(beta, gamma)
         objects = graph.nodes
         if not objects:
             continue
+        w = _row_width(beta)
         xs = hom_test_set(beta)
-        rows = _hom_rows(xs, objects)
-        for o, row in zip(objects, rows):
-            assert row == tuple(hom_obj(S2Object.of(x), o) for x in xs)
+        rows, ref = _hom_rows(xs, objects, w), tuple_hom_rows(xs, objects)
+        for o, row, ref_row in zip(objects, rows, ref):
+            assert unpack_row(row, len(xs), w) == ref_row == tuple(hom_obj(S2Object.of(x), o) for x in xs)
         wide = beta.max_part + 4
-        wide_rows = _hom_rows(hom_test_set(beta, wide), objects)
+        wide_xs = hom_test_set(beta, wide)
+        wide_rows, wide_ref = _hom_rows(wide_xs, objects, w), tuple_hom_rows(wide_xs, objects)
+        guard, wide_guard = _guard(len(xs), w), _guard(len(wide_xs), w)
         reach = _reach_ids(graph)
         for i, y in enumerate(objects):
             for j, z in enumerate(objects):
                 pairs += 1
-                assert all(a <= b for a, b in zip(rows[i], rows[j])) == hom_leq(y, z)
+                hom = ((rows[j] | guard) - rows[i]) & guard == guard
+                assert hom == all(a <= b for a, b in zip(ref[i], ref[j])) == hom_leq(y, z)
+                wide_hom = ((wide_rows[j] | wide_guard) - wide_rows[i]) & wide_guard == wide_guard
                 wide_leq = min(delta_profile(y, z, wide), default=0) >= 0
-                assert all(a <= b for a, b in zip(wide_rows[i], wide_rows[j])) == wide_leq
+                assert wide_hom == all(a <= b for a, b in zip(wide_ref[i], wide_ref[j])) == wide_leq
                 assert bool(reach[j] >> i & 1) == arc_leq(y, z)
     assert pairs == 703  # as in equivalence_sweep(7)
 
