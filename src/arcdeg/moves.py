@@ -21,8 +21,8 @@ is the arc order.  Moves act on the integer (arcs, poles) tuples of a
 diagram and never touch its loops.  Only E changes the pole count, and
 it lowers it, so a point query (``arc_leq``) for y below z searches
 down from z only through states with at least as many poles as y, and
-stops when it meets y.  One search per recent start is kept, and a
-later query from that start resumes it.  A list of objects has one
+stops when it meets y.  A query keeps no search; it reuses the
+one-move lists of recently expanded states.  A list of objects has one
 record (``TypeGraph``), built once: per object id, the diagram,
 crossings, successor ids and move count, which exceeds the successor
 count by the moves that leave the type.  It finds a move's result by an
@@ -124,8 +124,11 @@ class Move:
         need = MOVE_ARITY.get(kind)
         if need is None:
             raise ValueError(f"unknown move kind {kind!r}")
+        points = tuple(points)
         if len(points) != need:
             raise ValueError(f"move {kind} takes {need} points, got {points}")
+        if any(type(p) is not int for p in points):
+            raise ValueError(f"move {kind} takes integer points, got {points!r}")
         if any(p < 1 for p in points):
             raise ValueError(f"move points must be >= 1, got {points}")
         if list(points) != sorted(points, reverse=True) or len(set(points)) != need:
@@ -258,49 +261,47 @@ def region(move: Move) -> Callable[[Indecomposable], bool]:
 
 
 @lru_cache(maxsize=1024)
-def _down_closure(arcs, poles) -> tuple[set, list[list]]:
-    """The down-move search from these arcs and poles as far as it has
-    gone, one entry per recently queried start: the set of (arcs, poles)
-    states reached, the start included, and per pole count the reached
-    states not yet expanded.  ``_reaches`` advances it."""
-    pending = [[] for _ in range(len(poles) + 1)]
-    pending[-1].append((arcs, poles))
-    return {(arcs, poles)}, pending
+def _down_closure(arcs, poles) -> tuple[tuple, ...]:
+    """The (arcs, poles) states one down-move below these arcs and poles,
+    one per move, kept for the 1024 most recently expanded states.  The
+    bench reads this cache by its name, which is older than its one-move
+    lists.  A result that changes the point count 2·arcs + poles, or has
+    more poles than its source, raises, and the cache keeps nothing from
+    a call that raises."""
+    count = 2 * len(arcs) + len(poles)
+    below = []
+    for kind, pts in _move_candidates(arcs, poles):
+        nxt = _apply(kind, pts, arcs, poles)
+        if 2 * len(nxt[0]) + len(nxt[1]) != count:
+            state = ArcDiagram(arcs, poles).to_text()
+            raise InternalInvariantViolation(f"{Move(kind, pts)} changes the point count of {state}")
+        if len(nxt[1]) > len(poles):
+            state = ArcDiagram(arcs, poles).to_text()
+            raise InternalInvariantViolation(f"{Move(kind, pts)} adds a pole to {state}")
+        below.append(nxt)
+    return tuple(below)
 
 
 def _reaches(start, goal) -> bool:
     """True when the (arcs, poles) state goal is reached from start by
-    down-moves (moves leave loops alone).  No move adds a pole, so the
-    search kept for start expands only states with at least as many
-    poles as goal, the fewest first, and stops once it meets goal; a
-    later query from start resumes it.  A move result that changes the
-    point count 2·arcs + poles, or has more poles than its source,
-    raises, and the kept searches are dropped, so none is left half
-    expanded."""
-    reach, pending = _down_closure(*start)
+    down-moves (moves leave loops alone): a depth-first search over the
+    one-move lists of ``_down_closure``.  No move adds a pole, so it
+    expands only states with at least as many poles as goal, none when
+    start has fewer, and stops once it meets goal.  Nothing of the
+    search outlives the query."""
+    if start == goal:
+        return True
     floor = len(goal[1])
-    count = 2 * len(start[0]) + len(start[1])
-    try:
-        while goal not in reach:
-            bucket = next((b for b in pending[floor:] if b), None)
-            if bucket is None:
-                return False
-            arcs, poles = bucket.pop()
-            for kind, pts in _move_candidates(arcs, poles):
-                nxt = _apply(kind, pts, arcs, poles)
-                if nxt not in reach:
-                    if 2 * len(nxt[0]) + len(nxt[1]) != count:
-                        state = ArcDiagram(arcs, poles).to_text()
-                        raise InternalInvariantViolation(f"{Move(kind, pts)} changes the point count of {state}")
-                    if len(nxt[1]) > len(poles):
-                        state = ArcDiagram(arcs, poles).to_text()
-                        raise InternalInvariantViolation(f"{Move(kind, pts)} adds a pole to {state}")
-                    reach.add(nxt)
-                    pending[len(nxt[1])].append(nxt)
-    except BaseException:
-        _down_closure.cache_clear()
-        raise
-    return True
+    seen = {start}
+    stack = [start] if len(start[1]) >= floor else []
+    while stack:
+        for nxt in _down_closure(*stack.pop()):
+            if len(nxt[1]) >= floor and nxt not in seen:
+                if nxt == goal:
+                    return True
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
 
 
 def arc_leq(y: S2Object, z: S2Object) -> bool:

@@ -15,7 +15,8 @@ its class: as ``Cls.name`` (or ``module.Cls.name``) anywhere, or as
 calls itself, so no input meets the interpreter's recursion limit.
 No library code writes through ``object.__setattr__``.  Every library
 ``lru_cache`` has a finite ``maxsize`` but ``homcalc.hom_indec``'s,
-whose bound its module docstring gives, and a cold import
+whose bound its module docstring gives.  No library handler catches
+``BaseException`` or everything (a bare ``except:``).  A cold import
 of the package, its sweep and its command line loads none of
 ``dataclasses``, ``inspect`` and ``typing``.
 """
@@ -327,6 +328,36 @@ def test_cache_bound_check_sees_every_spelling():
         "SIZE = 4\n@lru_cache(maxsize=SIZE)\ndef i(): pass\n"
     )
     assert unbounded_caches(source) == ["e", "f", "g", "h", "i"]
+
+
+def catch_all_handlers(source: str) -> list[int]:
+    """Line of each ``except BaseException`` (also in a tuple) or bare
+    ``except:`` handler, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(c is None or isinstance(c, ast.Name) and c.id == "BaseException" for c in caught):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_library_has_no_catch_all_handlers():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) >= 10
+    found = {module: catch_all_handlers(source) for module, source in sources.items()}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_catch_all_check_sees_both_spellings():
+    source = (
+        "try:\n    pass\nexcept ValueError:\n    pass\n"
+        "try:\n    pass\nexcept BaseException:\n    raise\n"
+        "try:\n    pass\nexcept:\n    raise\n"
+        "try:\n    pass\nexcept (KeyError, BaseException) as e:\n    raise\n"
+        "try:\n    pass\nexcept Exception:\n    pass\n"
+    )
+    assert catch_all_handlers(source) == [7, 11, 15]
 
 
 def test_cold_import_loads_no_dataclasses_inspect_or_typing():

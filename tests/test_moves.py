@@ -78,6 +78,13 @@ def test_move_validation():
         Move("E", (2, 2))
     with pytest.raises(ValueError):
         Move("B", (1, 2, 3))
+    # points are ints, as partition parts and summand parameters are
+    for points in [(2.0, 1), (2, True), (2, "1"), (2, None)]:
+        with pytest.raises(ValueError, match="integer points"):
+            Move("E", points)
+    listed = Move("E", [2, 1])
+    assert listed == Move("E", (2, 1)) and hash(listed) == hash(Move("E", (2, 1)))
+    assert type(listed.points) is tuple and str(listed) == "E(2,1)"
     assert Move("A", (6, 4, 2, 1)).display_kind == "A"
     assert Move("A", (6, 4, 3, 2)).display_kind == "A'"
 
@@ -256,6 +263,25 @@ def _moves_up_to(max_point):
     ]
 
 
+@pytest.mark.parametrize("weight, count", [(8, 20), (9, 30)])
+def test_move_list_is_the_sweep_move_population(weight, count):
+    # the moves on the edges of every type up to a weight are exactly the
+    # moves whose unit pair fits in that weight
+    seen = {
+        (move.kind, move.points)
+        for beta, gamma in iter_types(weight)
+        for o in enumerate_objects(beta, gamma)
+        for move, _ in down_moves(diagram_of_object(o))
+    }
+    listed = {
+        (move.kind, move.points)
+        for move in _moves_up_to(weight)
+        if object_type(unit_pair(move)[0])[0].weight() <= weight
+    }
+    assert seen == listed
+    assert len(seen) == count
+
+
 def test_move_tables_list_the_kinds_in_canonical_order():
     # random unit-pair streams draw kinds from tuple(MOVE_ARITY), so a
     # reordered table would re-draw every stream and every report on one
@@ -376,17 +402,15 @@ def test_arc_leq_on_objects_that_differ_only_in_loops():
 
 
 def test_down_closure_is_keyed_by_arcs_and_poles():
-    d, e = diagram_of_object(DESCENT_Z), diagram_of_object(DESCENT_Y)
-    # DESCENT_Y differs from DESCENT_Z, so this query expands the start
-    assert arc_leq(DESCENT_Y, DESCENT_Z)
-    reach, pending = _down_closure(d.arcs, d.poles)
-    assert (d.arcs, d.poles) in reach
-    assert (e.arcs, e.poles) in reach
-    assert all(type(a) is tuple and type(p) is tuple for a, p in reach)
-    assert {(x.arcs, x.poles) for _, x in down_moves(d)} <= reach
-    # the states not yet expanded are reached ones, bucketed by pole count
-    assert len(pending) == len(d.poles) + 1
-    assert all(len(p) == k and (a, p) in reach for k, bucket in enumerate(pending) for a, p in bucket)
+    # each kept value is the (arcs, poles) one down-move below, as plain
+    # tuples, one per move: distinct moves give distinct results
+    for beta, gamma in iter_types(8):
+        for o in enumerate_objects(beta, gamma):
+            d = diagram_of_object(o)
+            below = _down_closure(d.arcs, d.poles)
+            assert all(type(a) is tuple and type(p) is tuple for a, p in below)
+            assert len(set(below)) == len(below)
+            assert set(below) == {(x.arcs, x.poles) for _, x in down_moves(d)}, d.to_text()
 
 
 def _reference_leq(y, z):
@@ -394,7 +418,7 @@ def _reference_leq(y, z):
     return dy.loops == dz.loops and (dy.arcs, dy.poles) in down_closure(dz.arcs, dz.poles)
 
 
-def test_arc_leq_resumes_searches_and_matches_the_full_closure(monkeypatch):
+def test_arc_leq_reuses_one_move_lists_and_matches_the_full_closure(monkeypatch):
     # every ordered pair of every realizable type up to weight 8, and 300
     # seeded staircase-7 pairs (half of them comparable), each with its
     # answer from the type's bitset closure
@@ -416,15 +440,15 @@ def test_arc_leq_resumes_searches_and_matches_the_full_closure(monkeypatch):
     assert len(cases) == 1510 + 300
     rng.shuffle(cases)
 
-    # the pole counts of the states each query expands
+    # the pole counts of the states each query expands, read where the
+    # search asks for a state's one-move list, kept or not
     expanded = []
-    real = moves._move_candidates
 
     def recording(arcs, poles):
         expanded.append(len(poles))
-        return real(arcs, poles)
+        return _down_closure(arcs, poles)
 
-    monkeypatch.setattr(moves, "_move_candidates", recording)
+    monkeypatch.setattr(moves, "_down_closure", recording)
     hits = _down_closure.cache_info().hits
     answers = []
     for y, z, below in cases:
@@ -435,7 +459,7 @@ def test_arc_leq_resumes_searches_and_matches_the_full_closure(monkeypatch):
         assert min(expanded, default=inf) >= len(diagram_of_object(y).poles), (y.to_text(), z.to_text())
         answers.append(answer)
     assert 0 < sum(answers) < len(answers)
-    # most queries resume a search that an earlier query started
+    # most queries reuse one-move lists that an earlier query kept
     assert _down_closure.cache_info().hits - hits > len(cases) // 2
 
 
@@ -487,7 +511,7 @@ def test_arc_order_search_stops_when_a_move_adds_a_pole(monkeypatch):
     with pytest.raises(InternalInvariantViolation, match=message):
         arc_leq(y, z)
     monkeypatch.setattr(moves, "_apply", real)
-    # no half-expanded search is left behind for z
+    # the call that raised kept no one-move list for z
     assert [arc_leq(y, z) for y in objects] == [_reference_leq(y, z) for y in objects]
 
 

@@ -105,6 +105,19 @@ from arcdeg.cli import main
 sys.exit(main(["verify", "--beta-max", "6"]))
 """
 
+# [P1(5), B2(5, r)] one too large, for every r: a fault that the random
+# mesh stream misses and the region stream and the sweep catch
+MESH_MISS_FAULT = """
+import sys
+from arcdeg import homcalc
+entry = homcalc.table_entry
+homcalc.table_entry = lambda xkind, xl, xt, ykind, ym, yr: (
+    entry(xkind, xl, xt, ykind, ym, yr) + (xkind == "P1" and xl == 5 and ykind == "B2" and ym == 5)
+)
+from arcdeg.cli import main
+sys.exit(main(["verify", "--beta-max", "10"]))
+"""
+
 
 def test_all_partitions_counts():
     # 1 + p(1) + ... + p(5) = 1 + 1 + 2 + 3 + 5 + 7
@@ -563,6 +576,22 @@ def test_mesh_check_order_fault_report():
     proc = run_python("-c", ORDER_FAULT_VERIFY)
     assert proc.returncode == 1, proc.stderr
     assert "mesh identity on 100 random pairs: FAILED" in proc.stdout.splitlines()
+
+
+def test_cli_verify_report_under_a_fault_the_mesh_stream_misses():
+    # pinned whole, so that a change of the mesh line shows as a diff here
+    proc = run_python("-c", MESH_MISS_FAULT)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.splitlines() == [
+        "types seen:       2887",
+        "types realizable: 2087",
+        "objects:          3169",
+        "ordered pairs:    6497",
+        "move edges:       1352",
+        "FAILED order-equivalence: 88 case(s); first: B(5,1)+P0(4) vs P1(5)+P1(1)+P0(4)",
+        "mesh identity on 100 random pairs: ok",
+        "region indicator on 100 random unit pairs: FAILED",
+    ]
 
 
 def test_sweep_tables_match_point_queries_up_to_weight_7():
