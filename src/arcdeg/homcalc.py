@@ -13,7 +13,9 @@ Hom values are read only through the module attribute ``hom_indec``,
 so a patched ``hom_indec`` reaches every path.  Its cache is the one
 table of pair values (``hom_obj``, ``delta_hom``); it holds at most the
 square of the number of indecomposables with parts up to the largest
-part seen.
+part seen.  ``delta_hom`` sums that table over each side's summands in
+one C-level ``sum(map(...))``, and never reads a packed row, so it stays
+an independent reference for ``delta_profile``.
 
 A hom row over indecomposables x_0 .. x_{n-1} is one integer, the sum
 of [x_k, o] << (w * k): field k holds [x_k, o] in w bits whose top bit
@@ -35,7 +37,8 @@ tables outlive a call, so later calls and other types reuse them.  A
 whole type's hom order is one list of rows (one per object), compared
 pair by pair as above; the sweep reads it this way.  Point queries take
 one cached row per object (``_hom_profile``, the same kernel on a
-single object, for the 4096 most recent).
+single object, for the 4096 most recent); ``reduction`` checks a move's
+region against (z | G) - y with one more subtraction.
 
 The dimension of the morphism space between two indecomposables is a
 closed formula in the parameters, built from truncated minima:
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import product, starmap
+from itertools import product, repeat, starmap
 
 from .errors import InternalInvariantViolation
 from .objects import B2, P1, Indecomposable, S2Object, object_type, require_same_type
@@ -121,7 +124,9 @@ def hom_obj(a: S2Object, b: S2Object) -> int:
 def delta_hom(y: S2Object, z: S2Object, x: Indecomposable) -> int:
     """[x, z] - [x, y] for same-type objects y, z."""
     require_same_type(y, z)
-    return sum(hom_indec(x, s) for s in z) - sum(hom_indec(x, s) for s in y)
+    # summed in C over the summands, the table read at call time
+    hom = hom_indec
+    return sum(map(hom, repeat(x, len(z)), z)) - sum(map(hom, repeat(x, len(y)), y))
 
 
 def delta_mult(y: S2Object, z: S2Object, x: Indecomposable) -> int:

@@ -29,7 +29,9 @@ summands; ``enumerate_objects``, whose summands come sorted, builds
 objects with ``tuple.__new__``, the one bypass, and the library never
 calls the namedtuple ``_make`` or ``_replace``, which skip both.
 Objects are parsed from and printed as ``+``-joined text; diagrams are
-only printed, since no command reads one.
+only printed, since no command reads one.  Each distinct summand token
+is parsed once and kept (the 1024 most recent); a token that raises is
+not kept, so it raises the same message every time.
 
 An object's (ambient, quotient) type is derived once, by the first
 ``object_type`` call, and kept in the object's ``_type`` attribute,
@@ -46,6 +48,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import lru_cache
 from itertools import combinations
 from operator import attrgetter, itemgetter
 
@@ -130,6 +133,25 @@ def arc_summands(m: int, r: int) -> tuple[Indecomposable, ...]:
 _SUMMAND_RE = re.compile(r"^(B2?|P[012])\((\d+)(?:,(\d+))?\)$")
 
 
+# one parse per distinct token, spaces included, for the 1024 most recent;
+# a token that raises is not kept, so it raises the same way every time
+@lru_cache(maxsize=1024)
+def _parse_summand(token: str) -> Indecomposable:
+    """The summand of one ``+``-separated token of an object's text."""
+    token = token.strip().replace(" ", "")
+    mt = _SUMMAND_RE.match(token)
+    if not mt:
+        raise ValueError(f"cannot parse summand {token!r}")
+    kind, m, r = mt.group(1), int(mt.group(2)), mt.group(3)
+    if kind in ("B", "B2"):
+        if r is None:
+            raise ValueError(f"bipicket {token!r} needs two parameters")
+        return B2(m, int(r))
+    if r is not None:
+        raise ValueError(f"{token!r}: pickets take a single parameter")
+    return Indecomposable(kind, m)
+
+
 class S2Object(tuple):
     """An isomorphism class: a multiset of indecomposables, stored as the
     tuple of its summands in canonical order (B2 before P2 before P1
@@ -159,22 +181,7 @@ class S2Object(tuple):
         text = text.strip()
         if not text:
             return cls()
-        summands = []
-        for token in text.split("+"):
-            token = token.strip().replace(" ", "")
-            mt = _SUMMAND_RE.match(token)
-            if not mt:
-                raise ValueError(f"cannot parse summand {token!r}")
-            kind, m, r = mt.group(1), int(mt.group(2)), mt.group(3)
-            if kind in ("B", "B2"):
-                if r is None:
-                    raise ValueError(f"bipicket {token!r} needs two parameters")
-                summands.append(B2(m, int(r)))
-            else:
-                if r is not None:
-                    raise ValueError(f"{token!r}: pickets take a single parameter")
-                summands.append(Indecomposable(kind, m))
-        return cls(summands)
+        return cls(map(_parse_summand, text.split("+")))
 
     def to_text(self) -> str:
         return "+".join(s.to_text() for s in self)

@@ -19,25 +19,34 @@ step, so a move that fails to make progress is reported at once.
 
 The search tries the applicable moves of the diagram of z in canonical
 order and returns the first admissible one; (P1) and (P2) are checked
-explicitly, so every returned move is valid.
+explicitly, so every returned move is valid.  It builds no move result.
+(P1) is one integer compare on the packed hom rows of ``homcalc``: with
+G the guard bits of the test set, field k of diff = (row(z) | G) -
+row(y) is the hom delta at member k plus 2^(w-1).  A pair in hom order
+has every field at least 2^(w-1), so subtracting the move's region
+mask R, a 1 in field k when member k lies in the region, borrows across
+no field, and a field keeps its guard bit exactly when its delta is at
+least 1: (P1) holds iff (diff - R) & G == G.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InternalInvariantViolation, NoDescentMove, NotComparable
-from .homcalc import delta_profile, hom_leq, test_set
-from .moves import Move, apply_down, down_moves, region, ses_witness
-from .objects import S2Object, crossings, diagram_of_object, object_of_diagram, object_type
+from .homcalc import _guard, _hom_profile, _row_width, _test_set, hom_leq, test_set
+from .moves import Move, _move_candidates, apply_down, region, ses_witness
+from .objects import S2Object, crossings, diagram_of_object, object_of_diagram, object_type, require_same_type
 
 
-def _admissible(y: S2Object, z: S2Object, move: Move, members, deltas) -> bool:
-    # the caller has checked that y and z share a type
-    left, _, right = ses_witness(move)
-    for end in (left[0], right[0]):
-        if z.count(end) <= y.count(end):
-            return False
+# per (move, test-set cutoff, width), the packed region mask over that test
+# set; the moves and cutoffs in use are few
+@lru_cache(maxsize=4096)
+def _region_mask(move: Move, bound: int, w: int) -> int:
+    """A 1 in field k of w bits when the k-th member of the test set at
+    cutoff ``bound`` lies in the move's region, 0 elsewhere."""
     pred = region(move)
-    return all(d >= 1 for x, d in zip(members, deltas) if pred(x))
+    return sum(1 << w * k for k, x in enumerate(_test_set(bound)) if pred(x))
 
 
 def find_descent_move(y: S2Object, z: S2Object) -> Move:
@@ -47,14 +56,24 @@ def find_descent_move(y: S2Object, z: S2Object) -> Move:
     passed over when it is not admissible.  Raises
     :class:`NoDescentMove` when y and z are isomorphic and
     :class:`NotComparable` when y is not below z."""
-    deltas = delta_profile(y, z)
+    beta = require_same_type(y, z)
+    # test_set(beta) is the test set at cutoff max_part + 1
+    bound, w = beta.max_part + 1, _row_width(beta)
+    guard = _guard(len(test_set(beta)), w)
+    diff = (_hom_profile(z, None) | guard) - _hom_profile(y, None)
     if y == z:
         raise NoDescentMove("the objects are isomorphic; nothing to descend")
-    if min(deltas) < 0:
+    if diff & guard != guard:
         raise NotComparable("y is not below z in the hom order")
-    members = test_set(object_type(z)[0])
-    for move, _ in down_moves(diagram_of_object(z)):
-        if _admissible(y, z, move, members, deltas):
+    diagram = diagram_of_object(z)
+    for kind, pts in sorted(_move_candidates(diagram.arcs, diagram.poles)):
+        move = Move(kind, pts)
+        left, _, right = ses_witness(move)
+        if (
+            z.count(left[0]) > y.count(left[0])
+            and z.count(right[0]) > y.count(right[0])
+            and (diff - _region_mask(move, bound, w)) & guard == guard
+        ):
             return move
     raise InternalInvariantViolation(f"no admissible move for {y.to_text()} <= {z.to_text()}")
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from arcdeg import homcalc
-from arcdeg.errors import InternalInvariantViolation
-from arcdeg.moves import Move, _apply, _move_candidates
-from arcdeg.objects import ArcDiagram, S2Object
+from arcdeg.errors import InternalInvariantViolation, NoDescentMove, NotComparable
+from arcdeg.homcalc import delta_profile, test_set
+from arcdeg.moves import Move, _apply, _move_candidates, down_moves, region, ses_witness
+from arcdeg.objects import ArcDiagram, S2Object, diagram_of_object, object_type
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,6 +59,37 @@ def down_closure(arcs, poles) -> frozenset:
                 reach.add(nxt)
                 stack.append(nxt)
     return frozenset(reach)
+
+
+def reference_admissible(y: S2Object, z: S2Object, move: Move, members, deltas) -> bool:
+    """(P2), then (P1) member by member over the hom deltas: the
+    per-member reference for the packed check of
+    ``reduction.find_descent_move``."""
+    # the caller has checked that y and z share a type
+    left, _, right = ses_witness(move)
+    for end in (left[0], right[0]):
+        if z.count(end) <= y.count(end):
+            return False
+    pred = region(move)
+    return all(d >= 1 for x, d in zip(members, deltas) if pred(x))
+
+
+def reference_find_descent_move(y: S2Object, z: S2Object) -> Move:
+    """The first admissible move, in canonical order, over the tuple
+    hom deltas of ``delta_profile`` and the built results of
+    ``down_moves``: the per-member reference for
+    ``reduction.find_descent_move``, with the same errors in the same
+    order."""
+    deltas = delta_profile(y, z)
+    if y == z:
+        raise NoDescentMove("the objects are isomorphic; nothing to descend")
+    if min(deltas) < 0:
+        raise NotComparable("y is not below z in the hom order")
+    members = test_set(object_type(z)[0])
+    for move, _ in down_moves(diagram_of_object(z)):
+        if reference_admissible(y, z, move, members, deltas):
+            return move
+    raise InternalInvariantViolation(f"no admissible move for {y.to_text()} <= {z.to_text()}")
 
 
 # per member list, per summand, the tuple column of [x, s]; see tuple_hom_rows

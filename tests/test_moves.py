@@ -465,8 +465,14 @@ def test_arc_leq_reuses_one_move_lists_and_matches_the_full_closure(monkeypatch)
 
 def test_arc_order_search_stops_when_a_move_changes_the_point_count(monkeypatch):
     real = moves._apply
+    calls = []
 
     def keep_first_removed_piece(kind, pts, arcs, poles):
+        # without the check, the search grows without end: stop it here
+        # rather than when memory runs out
+        calls.append(kind)
+        if len(calls) > 100:
+            pytest.fail("the search applied 100 moves without the point-count check stopping it")
         arcs_after, poles_after = real(kind, pts, arcs, poles)
         arcs_out, poles_out, _, _ = moves._MOVE_PIECES[kind]
         if arcs_out:
@@ -480,11 +486,12 @@ def test_arc_order_search_stops_when_a_move_changes_the_point_count(monkeypatch)
     _down_closure.cache_clear()
     message = r"^B\(5,4,1\) changes the point count of arcs:5-1; poles:4,3,2; loops:$"
     try:
-        # without the check, this search grows until memory runs out
         with pytest.raises(InternalInvariantViolation, match=message):
             arc_leq(y, z)
     finally:
         _down_closure.cache_clear()
+    # the check stops the search at the first faulty move
+    assert calls == ["B"]
 
 
 def test_arc_order_search_stops_when_a_move_adds_a_pole(monkeypatch):

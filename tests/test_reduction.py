@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 import arcdeg.reduction
-from arcdeg.errors import InternalInvariantViolation, NoDescentMove, NotComparable, TypeMismatch
+from arcdeg.errors import ArcDegError, InternalInvariantViolation, NoDescentMove, NotComparable, TypeMismatch
 from arcdeg.homcalc import delta_hom, hom_leq, test_set as hom_test_set
 from arcdeg.moves import Move, apply_down, down_moves, region
 from arcdeg.objects import (
@@ -18,7 +20,24 @@ from arcdeg.objects import (
 from arcdeg.partitions import Partition
 from arcdeg.reduction import find_descent_move, reduction_chain, reduction_steps
 
-from conftest import DESCENT_Y, DESCENT_Z
+from conftest import DESCENT_Y, DESCENT_Z, ROOT, iter_types, reference_find_descent_move, run_python
+
+# the 150 reduce pairs of the bench query generator at seed 2
+# (``bench/gen_queries.py --seed 2``): comparable pairs of the types of
+# ambient (8,7,...,1), z a random walk of up to 8 down-moves above y
+SEED2_REDUCE_PAIRS = ROOT / "tests" / "queries_seed2_reduce_pairs.json"
+
+# every chain of SEED2_REDUCE_PAIRS, one line of move texts per pair, hashed
+CHAIN_DIGEST = """
+import hashlib, json, sys
+from arcdeg.objects import S2Object
+from arcdeg.reduction import reduction_chain
+with open(sys.argv[1], encoding="utf-8") as fh:
+    pairs = json.load(fh)
+lines = [" ".join(m.to_text() for m in reduction_chain(*map(S2Object.from_text, p))) for p in pairs]
+print(len(pairs), sum(len(line.split()) for line in lines))
+print(hashlib.sha256("\\n".join(lines).encode()).hexdigest())
+"""
 
 
 def replay(z, chain):
@@ -166,3 +185,39 @@ def test_completeness_at_desk_scale():
             else:
                 with pytest.raises(NotComparable):
                     reduction_chain(y, z)
+
+
+def _descent_outcome(find, y, z):
+    """The move found, or the class and message of the error raised."""
+    try:
+        return find(y, z)
+    except ArcDegError as exc:
+        return type(exc), str(exc)
+
+
+def test_find_descent_move_matches_the_per_member_reference():
+    # every ordered pair of every type up to weight 8 and of staircase-6:
+    # the packed (P1) check picks the reference's move or raises its error
+    types = [*iter_types(8), (Partition.of(6, 5, 4, 3, 2, 1), Partition.of(5, 4, 3, 2, 1))]
+    found = Counter()
+    for beta, gamma in types:
+        objs = enumerate_objects(beta, gamma)
+        for y in objs:
+            for z in objs:
+                outcome = _descent_outcome(find_descent_move, y, z)
+                assert outcome == _descent_outcome(reference_find_descent_move, y, z), (y.to_text(), z.to_text())
+                found[outcome[0] if isinstance(outcome, tuple) else Move] += 1
+    assert set(found) == {Move, NoDescentMove, NotComparable}
+    assert sum(found.values()) == 1510 + 5776 and found[Move] > 1500
+
+
+def test_reduction_chains_on_the_seed_2_bench_pairs_are_pinned():
+    # digest recorded, in a fresh interpreter, from the descent that
+    # checked (P1) member by member over the results of down_moves
+    proc = run_python("-c", CHAIN_DIGEST, str(SEED2_REDUCE_PAIRS))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "150",
+        "339",
+        "657c0da13fccf079d4c78d1e7d1d17e7bd6c358b07e6fef58c200f8bcf27b46c",
+    ]

@@ -6,14 +6,19 @@ characters and keywords or from the parser's grammar with numbers out of
 range, so that both malformed and well-formed input are common.  A
 parser either rejects the text with ``ValueError`` or ``ArcDegError``,
 or returns a value that reads back unchanged from its own text form.
+The object parser is also checked on every object up to weight 8, on
+spaced text, and on bad tokens, whose message must not change when the
+same token comes again.
 """
 
+import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from arcdeg.errors import ArcDegError
-from arcdeg.objects import S2Object
+from arcdeg.objects import B2, P1, S2Object, _parse_summand, enumerate_objects, object_type
 from arcdeg.partitions import Partition
+from arcdeg.verify import all_partitions
 
 DIGITS = list("0123456789")
 
@@ -72,3 +77,43 @@ def test_fuzz_alphabets_reach_well_formed_text():
     # the fuzzers above also draw text that parses to values with parts
     find(PARTITION_TEXT, lambda t: len(parse(Partition, t) or ()) >= 2)
     find(OBJECT_TEXT, lambda t: len(parse(S2Object, t) or ()) >= 2)
+
+
+def test_object_text_round_trips_on_every_object_up_to_weight_8():
+    count = 0
+    for beta in all_partitions(8):
+        for obj in enumerate_objects(beta):
+            back = S2Object.from_text(obj.to_text())
+            assert back == obj and object_type(back) == object_type(obj), obj.to_text()
+            count += 1
+    assert count > 900
+
+
+@pytest.mark.parametrize(
+    "text", ["B(7, 3) + P1(1)", " B2( 7 ,3 )+ P1 (1) ", "P1(1)+B(7,3)", "B(7,3)+P1(1)", "B2(7,3) +P1( 1)"]
+)
+def test_spaced_object_text_parses_alike(text):
+    assert S2Object.from_text(text) == S2Object.of(B2(7, 3), P1(1))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Q(3)", "cannot parse summand 'Q(3)'"),
+        ("P1(x)", "cannot parse summand 'P1(x)'"),
+        ("B(7,3)+", "cannot parse summand ''"),
+        ("B(7)", "bipicket 'B(7)' needs two parameters"),
+        ("P1(2,1)", "'P1(2,1)': pickets take a single parameter"),
+        ("B(3,2)", "B2(3,2) needs 1 <= r <= m-2"),
+        ("P2(1)", "P2(1) is out of range"),
+        ("P1(1)+P0(0)", "P0(0) is out of range"),
+    ],
+)
+def test_a_bad_token_raises_the_same_message_every_time(text, message):
+    kept = _parse_summand.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            S2Object.from_text(text)
+        assert str(info.value) == message
+    # only a token that parsed is kept
+    assert _parse_summand.cache_info().currsize <= kept + text.count("+")
