@@ -457,7 +457,8 @@ def _node_dims(graph: TypeGraph, beta: Partition) -> list[tuple[Partition, int]]
         gamma = object_type(node)[1]
         key = (gamma, len(arcs) + len(loops), len(poles))
         if key not in by_class:
-            alpha = Partition((2,) * key[1] + (1,) * key[2])
+            # twos before ones: already canonical
+            alpha = tuple.__new__(Partition, (2,) * key[1] + (1,) * key[2])
             by_class[key] = (alpha, geometry._stratum_dim_less_crossings(alpha, beta, gamma))
         alpha, uncrossed_dim = by_class[key]
         out.append((alpha, uncrossed_dim - x))

@@ -25,9 +25,24 @@ types, are tuples that compare and hash equal to their plain tuples,
 ``(kind, m, r)``, ``(arcs, poles, loops)`` and the summands in
 canonical order, so each is its own key in every table.  The
 constructors check summands and sort diagram groups and object
-summands; ``enumerate_objects``, whose summands come sorted, builds
-objects with ``tuple.__new__``, the one bypass, and the library never
-calls the namedtuple ``_make`` or ``_replace``, which skip both.
+summands.  ``P0``, ``P1``, ``P2`` and ``B2`` intern what they build:
+each keeps its 1024 most recent summands, keyed on the arguments and
+their types, so a summand is checked once, a ``bool`` or ``float``
+argument still reaches the check, and a call that raises keeps
+nothing.  Two builders here skip a constructor through
+``tuple.__new__``, each because its parts are valid and already in
+canonical order:
+
+* ``enumerate_objects`` builds each object from summands that the
+  constructors made, sorted once on their sort keys;
+* ``diagram_of_object`` builds each diagram from an object's summands,
+  which are valid and canonical, so its bipicket arcs, poles and loops
+  come out descending; it sorts the arcs once, and only when boundary
+  arcs (m, m-1) joined them.
+
+The ``partitions`` module lists its own such sites, and the library
+never calls the namedtuple ``_make`` or ``_replace``, which skip both
+checks and sorting.
 Objects are parsed from and printed as ``+``-joined text; diagrams are
 only printed, since no command reads one.  Each distinct summand token
 is parsed once and kept (the 1024 most recent); a token that raises is
@@ -50,7 +65,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import combinations
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .errors import InconsistentDiagram, TypeMismatch
 from .partitions import Partition
@@ -101,18 +116,24 @@ class Indecomposable(namedtuple("Indecomposable", "kind m r")):
         return self.to_text()
 
 
+# typed=True keeps P1(True) and B2(5.0, 3) apart from the equal P1(1) and
+# B2(5, 3) they would otherwise be served, so they still reach the check
+@lru_cache(maxsize=1024, typed=True)
 def P0(m: int) -> Indecomposable:
     return Indecomposable("P0", m)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def P1(m: int) -> Indecomposable:
     return Indecomposable("P1", m)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def P2(m: int) -> Indecomposable:
     return Indecomposable("P2", m)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def B2(m: int, r: int) -> Indecomposable:
     return Indecomposable("B2", m, r)
 
@@ -165,7 +186,16 @@ class S2Object(tuple):
     _type: tuple[Partition, Partition] | None = None
 
     def __new__(cls, summands: Iterable[Indecomposable] = ()):
-        return super().__new__(cls, sorted(summands, key=attrgetter("sort_key")))
+        # descending tuple order is P2, P1, P0, B2, each by m then r
+        # descending, which is the canonical order once the trailing B2
+        # block moves to the front
+        ordered = sorted(summands, reverse=True)
+        if ordered and ordered[-1][0] == "B2":
+            k = len(ordered) - 1
+            while k and ordered[k - 1][0] == "B2":
+                k -= 1
+            ordered = ordered[k:] + ordered[:k]
+        return super().__new__(cls, ordered)
 
     @classmethod
     def of(cls, *summands: Indecomposable) -> "S2Object":
@@ -272,11 +302,17 @@ def diagram_of_object(obj: S2Object) -> ArcDiagram:
         else:
             p0_count[s.m] = p0_count.get(s.m, 0) + 1
     loops: list[int] = []
+    bipickets = len(arcs)
     for m, c2 in p2_count.items():
         paired = min(c2, p0_count.get(m - 1, 0))
         arcs.extend([(m, m - 1)] * paired)
         loops.extend([m] * (c2 - paired))
-    return ArcDiagram(tuple(arcs), tuple(poles), tuple(loops))
+    # the summands are in canonical order, so the bipicket arcs, the poles
+    # and the loops (p2_count keeps first-seen order) are already
+    # descending; only boundary arcs must be merged into the arcs
+    if len(arcs) > bipickets:
+        arcs.sort(reverse=True)
+    return tuple.__new__(ArcDiagram, (tuple(arcs), tuple(poles), tuple(loops)))
 
 
 def object_of_diagram(diagram: ArcDiagram, beta: Partition, gamma: Partition) -> S2Object:
@@ -343,6 +379,8 @@ def crossings(diagram: ArcDiagram) -> int:
 
 
 def _remove_values(pool: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, ...] | None:
+    if not values:
+        return pool
     out = list(pool)
     for v in values:
         try:

@@ -6,6 +6,14 @@ weakly decreasing, no zero parts.  The constructor normalizes, so two
 equal multisets of parts always compare equal, and a partition compares,
 hashes and sorts like the plain tuple of its parts, its own key in every
 table.  Callers read the parts from the tuple itself.
+
+Two builders make partitions that are canonical by construction and
+skip the constructor through ``tuple.__new__``:
+
+* ``verify._partitions_below`` walks parts that are each positive and at
+  most the part before them;
+* ``moves._node_dims`` builds each subspace type as twos followed by
+  ones.
 """
 
 from __future__ import annotations

@@ -78,7 +78,9 @@ def _partitions_below(bounds: tuple[int, ...], max_weight: int) -> list[Partitio
     stack = [((), max_weight)]
     while stack:
         parts, room = stack.pop()
-        out.append(Partition(parts))
+        # each part is positive and at most the one before, so the parts
+        # are already canonical
+        out.append(tuple.__new__(Partition, parts))
         if len(parts) < len(bounds):
             cap = min(bounds[len(parts)], room, parts[-1] if parts else room)
             stack += [(parts + (p,), room - p) for p in range(1, cap + 1)]

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,12 @@ from arcdeg.objects import P1
 table = homcalc.hom_indec
 homcalc.hom_indec = lambda x, y: table(x, y) + (x == P1(2) and y.kind == "B2")
 """
+
+
+def canonical_summands(summands) -> tuple:
+    """The summands in canonical order, sorted on their sort keys: the
+    reference for the tuple-order sort in ``S2Object``."""
+    return tuple(sorted(summands, key=attrgetter("sort_key")))
 
 
 def object_key(obj):

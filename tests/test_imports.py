@@ -13,7 +13,9 @@ classmethod counts as read when one of those sources reads it through
 its class: as ``Cls.name`` (or ``module.Cls.name``) anywhere, or as
 ``cls.name`` inside the class.  No library function, nested or method,
 calls itself, so no input meets the interpreter's recursion limit.
-No library code writes through ``object.__setattr__``.  Every library
+No library code writes through ``object.__setattr__``, and library
+code reads ``tuple.__new__``, which builds a value without its
+constructor's check, only in the functions listed here.  Every library
 ``lru_cache`` has a finite ``maxsize`` but ``homcalc.hom_indec``'s,
 whose bound its module docstring gives.  No library handler catches
 ``BaseException`` or everything (a bare ``except:``).  A cold import
@@ -286,6 +288,57 @@ def test_library_writes_nothing_through_object_setattr():
 def test_object_setattr_check_sees_reads_only():
     source = "x = 1\nobject.__setattr__(x, 'a', 1)\nsetattr = object.__setattr__\nx.__setattr__('b', 2)\n"
     assert object_setattr_reads(source) == [2, 3]
+
+
+def tuple_new_sites(source: str) -> list[str]:
+    """Qualified name of the function around each read of
+    ``tuple.__new__`` (``<module>`` outside any function), in sorted
+    order, once per read."""
+    found = []
+    stack = [(ast.parse(source), "<module>")]
+    while stack:
+        node, owner = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, child.name if owner == "<module>" else f"{owner}.{child.name}"))
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__new__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "tuple"
+            ):
+                found.append(owner)
+            stack.append((child, owner))
+    return sorted(found)
+
+
+# each of these builds a value from parts already known to be valid and
+# canonical; the objects and partitions docstrings say why for each
+TRUSTED_TUPLE_NEW = {
+    "moves.py": ["_node_dims"],
+    "objects.py": ["diagram_of_object", "enumerate_objects"],
+    "partitions.py": ["Partition.__new__"],
+    "verify.py": ["_partitions_below"],
+}
+
+
+def test_library_bypasses_constructors_only_in_listed_functions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) >= 10
+    found = {module: tuple_new_sites(source) for module, source in sources.items()}
+    assert {module: sites for module, sites in found.items() if sites} == TRUSTED_TUPLE_NEW
+
+
+def test_tuple_new_check_sees_functions_methods_and_aliases():
+    source = (
+        "x = tuple.__new__(tuple, ())\n"
+        "def f():\n    return tuple.__new__(C, ())\n"
+        "def g():\n    new = tuple.__new__\n    def h():\n        return tuple.__new__(C, ())\n    return new\n"
+        "class C(tuple):\n    def __new__(cls, xs):\n        return tuple.__new__(cls, xs)\n"
+        "    def other(self):\n        return super().__new__(C, ()), object.__new__(C), self.__new__\n"
+    )
+    assert tuple_new_sites(source) == ["<module>", "C.__new__", "f", "g", "g.h"]
 
 
 def unbounded_caches(source: str) -> list[str]:

@@ -710,7 +710,7 @@ def test_node_dims_match_alpha_of_and_stratum_dim_per_node():
         graph = _type_graph(beta, gamma)
         dims = _node_dims(graph, beta)
         assert dims == [(alpha_of(o), stratum_dim(o)) for o in graph.nodes]
-        assert all(type(alpha) is Partition for alpha, _ in dims)
+        assert all(type(alpha) is Partition and alpha == Partition(alpha) for alpha, _ in dims)
 
 
 def test_hasse_matches_reference_up_to_weight_8():

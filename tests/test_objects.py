@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -26,7 +27,7 @@ from arcdeg.moves import MOVE_ARITY, Move, ses_witness, unit_pair
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions, subpartitions
 
-from conftest import iter_types, object_key
+from conftest import canonical_summands, iter_types, object_key
 
 # the running classification example: every summand kind at once
 MIXED = S2Object.of(B2(5, 3), B2(4, 2), P2(5), P0(2), P2(3), P1(3), P0(1), P1(1))
@@ -62,6 +63,32 @@ def test_indecomposable_validation():
     for kind, m, r in (("P1", 2.5, 0), ("B2", 5.0, 3), ("B2", 5, 3.0), ("P0", "3", 0), ("P1", True, 0)):
         with pytest.raises(ValueError):
             Indecomposable(kind, m, r)
+
+
+def test_interned_constructors_refuse_what_the_check_refuses():
+    # each bad call raises the check's message twice in a row, both before
+    # and after the good summand that it equals in hash was built and kept
+    cases = [
+        (P1, (True,), (1,), "P1 takes integer parameters, got True, 0"),
+        (B2, (5.0, 3), (5, 3), "B2 takes integer parameters, got 5.0, 3"),
+        (B2, (5, True), (5, 1), "B2 takes integer parameters, got 5, True"),
+        (B2, (5, True), (5, 3), "B2 takes integer parameters, got 5, True"),
+        (P0, (1.0,), (1,), "P0 takes integer parameters, got 1.0, 0"),
+        (P2, (1,), None, "P2(1) is out of range"),
+        (B2, (4, 3), None, "B2(4,3) needs 1 <= r <= m-2"),
+        (P0, ("3",), None, "P0 takes integer parameters, got '3', 0"),
+    ]
+    for make, bad, good, message in cases:
+        make.cache_clear()
+        for built in (None, good):
+            if built:
+                assert make(*built) == Indecomposable(make.__name__, *built)
+            for _ in range(2):
+                with pytest.raises(ValueError) as raised:
+                    make(*bad)
+                assert str(raised.value) == message
+            assert make.cache_info().currsize == (1 if built else 0)
+    assert P1(1) is P1(1) and B2(5, 3) is B2(5, 3)
 
 
 def test_arc_diagram_validation():
@@ -408,10 +435,40 @@ def test_every_construction_path_gives_the_canonical_tuple():
     zeros = 0
     for o in objects:
         assert type(o) is S2Object
-        assert list(o) == sorted(o, key=lambda s: s.sort_key)
+        assert o == canonical_summands(o)
         assert o == tuple(o) and hash(o) == hash(tuple(o))
         counts = Counter(o)
         assert all(o.count(x) == counts[x] for x in (*counts, P0(9)))
         assert bool(o) == (len(o) > 0)
         zeros += not o
     assert zeros == 3
+
+
+def test_object_constructor_orders_summands_as_the_sort_key_reference():
+    # three seeded shuffles of every object up to weight 10, and of inputs
+    # with only bipickets, with none and with no summand at all
+    inputs = [[], [B2(5, 3), B2(7, 2), B2(5, 3), B2(7, 4)], [P0(1), P2(4), P1(4), P0(4), P2(2), P1(7)]]
+    for beta in all_partitions(10)[1:]:
+        inputs += [list(o) for o in enumerate_objects(beta)]
+    assert len(inputs) == 3 + 3169
+    rng = random.Random(34)
+    for summands in inputs:
+        for _ in range(3):
+            rng.shuffle(summands)
+            obj = S2Object(summands)
+            assert type(obj) is S2Object and obj == canonical_summands(summands)
+
+
+def test_diagram_of_object_is_the_canonical_diagram():
+    # a boundary arc (5, 4) falls between the bipicket arcs (6, 2) and (5, 1)
+    split = S2Object.of(B2(6, 2), P2(5), P0(4), B2(5, 1))
+    assert diagram_of_object(split).arcs == ((6, 2), (5, 4), (5, 1))
+    objects = [split]
+    for beta in all_partitions(10)[1:]:
+        objects += enumerate_objects(beta)
+    for n in (6, 7, 8):
+        objects += enumerate_objects(Partition(range(n, 0, -1)), Partition(range(n - 1, 0, -1)))
+    for obj in objects:
+        d = diagram_of_object(obj)
+        assert type(d) is ArcDiagram and d == ArcDiagram(*d)
+        assert all(type(group) is tuple for group in d)

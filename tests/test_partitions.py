@@ -177,6 +177,13 @@ def test_partition_is_the_tuple_of_its_parts_from_every_constructor():
     assert len(set(walked) | set(plain)) == len(walked)
 
 
+def test_walked_partitions_are_canonical_without_the_constructor():
+    walked = all_partitions(12)
+    assert len(walked) == 272  # partitions of 0..12
+    for p in walked + [q for beta in walked for q in subpartitions(beta)]:
+        assert type(p) is Partition and p == Partition(p)
+
+
 @given(parts_lists)
 def test_constructor_canonicalizes(parts):
     p = Partition(tuple(parts))
