@@ -37,8 +37,14 @@ tables outlive a call, so later calls and other types reuse them.  A
 whole type's hom order is one list of rows (one per object), compared
 pair by pair as above; the sweep reads it this way.  Point queries take
 one cached row per object (``_hom_profile``, the same kernel on a
-single object, for the 4096 most recent); ``reduction`` checks a move's
-region against (z | G) - y with one more subtraction.
+single object, for the 4096 most recent), and ``_packed_delta`` is the
+one place that derives a same-type pair's packed hom delta diff = (z |
+G) - y with its guard bits and width.  ``hom_leq`` is diff & G == G and
+``delta_profile`` reads its fields.  With R a move's region mask
+(``moves._region_mask``, a 1 in each field whose member lies in the
+region), the descent's (P1) is (diff - R) & G == G: a pair in hom order
+borrows across no field, and a field keeps its guard bit exactly when
+its delta is at least 1.  ``verify``'s region check is diff == G + R.
 
 The dimension of the morphism space between two indecomposables is a
 closed formula in the parameters, built from truncated minima:
@@ -219,22 +225,29 @@ def _hom_profile(obj: S2Object, bound: int | None) -> int:
     return _hom_rows(test_set(beta, bound), (obj,), _row_width(beta))[0]
 
 
+def _packed_delta(y: S2Object, z: S2Object, bound: int | None = None) -> tuple[int, int, int]:
+    """(diff, G, w) for same-type objects y, z over ``test_set(beta,
+    bound)``: the field width w, the guard bits G, and diff = (row z |
+    G) - row y, whose field k is [x_k, z] - [x_k, y] + 2^(w-1)."""
+    beta = require_same_type(y, z)
+    w = _row_width(beta)
+    guard = _guard(len(test_set(beta, bound)), w)
+    return (_hom_profile(z, bound) | guard) - _hom_profile(y, bound), guard, w
+
+
 def delta_profile(y: S2Object, z: S2Object, bound: int | None = None) -> tuple[int, ...]:
     """[x, z] - [x, y] for same-type objects y, z and each x of
     ``test_set(beta, bound)``, in test-set order."""
-    beta = require_same_type(y, z)
-    n, w = len(test_set(beta, bound)), _row_width(beta)
-    # field k of (z | G) - y is [x_k, z] - [x_k, y] + 2^(w-1)
-    diff = (_hom_profile(z, bound) | _guard(n, w)) - _hom_profile(y, bound)
-    return tuple(f - (1 << w - 1) for f in _fields(diff, n, w))
+    diff, guard, w = _packed_delta(y, z, bound)
+    # the top guard bit is the top bit of the last field
+    return tuple(f - (1 << w - 1) for f in _fields(diff, guard.bit_length() // w, w))
 
 
 def hom_leq(y: S2Object, z: S2Object) -> bool:
     """True when [x, y] <= [x, z] for every test object x."""
-    beta = require_same_type(y, z)
-    guard = _guard(len(test_set(beta)), _row_width(beta))
+    diff, guard, _ = _packed_delta(y, z)
     # a field borrows its guard bit exactly when its entry of y exceeds z's
-    return ((_hom_profile(z, None) | guard) - _hom_profile(y, None)) & guard == guard
+    return diff & guard == guard
 
 
 # one violated band cell of the mesh identity

@@ -16,9 +16,12 @@ side's, and a region of test objects on which the hom delta of a pair
 differing by the move alone equals 1.  Both are read off one row per
 kind in the indices of its points: the pieces it replaces
 (``_MOVE_PIECES``), which fix its arity too, and its region, a row of
-boxes (``_REGIONS``).  The reflexive-transitive closure of the moves
-is the arc order.  Moves act on the integer (arcs, poles) tuples of a
-diagram and never touch its loops.  Only E changes the pole count, and
+boxes (``_REGIONS``).  Packed over a test set, in the fields of the
+packed hom rows of ``homcalc``, a region is ``_region_mask``; the
+descent's (P1) check and ``verify``'s region check both read it.  The
+reflexive-transitive closure of the moves is the arc order.  Moves act
+on the integer (arcs, poles) tuples of a diagram and never touch its
+loops.  Only E changes the pole count, and
 it lowers it, so a point query (``arc_leq``) for y below z searches
 down from z only through states with at least as many poles as y, and
 stops when it meets y.  A query keeps no search; it reuses the
@@ -50,6 +53,7 @@ from operator import itemgetter
 
 from . import geometry
 from .errors import InternalInvariantViolation, MoveNotApplicable
+from .homcalc import _test_set
 from .objects import (
     B2,
     P1,
@@ -258,6 +262,16 @@ def region(move: Move) -> Callable[[Indecomposable], bool]:
         return False
 
     return pred
+
+
+# per (move, test-set cutoff, width), the packed region mask over that test
+# set; the moves and cutoffs in use are few
+@lru_cache(maxsize=4096)
+def _region_mask(move: Move, bound: int, w: int) -> int:
+    """A 1 in field k of w bits when the k-th member of the test set at
+    cutoff ``bound`` lies in the move's region, 0 elsewhere."""
+    pred = region(move)
+    return sum(1 << w * k for k, x in enumerate(_test_set(bound)) if pred(x))
 
 
 @lru_cache(maxsize=1024)

@@ -20,33 +20,18 @@ step, so a move that fails to make progress is reported at once.
 The search tries the applicable moves of the diagram of z in canonical
 order and returns the first admissible one; (P1) and (P2) are checked
 explicitly, so every returned move is valid.  It builds no move result.
-(P1) is one integer compare on the packed hom rows of ``homcalc``: with
-G the guard bits of the test set, field k of diff = (row(z) | G) -
-row(y) is the hom delta at member k plus 2^(w-1).  A pair in hom order
-has every field at least 2^(w-1), so subtracting the move's region
-mask R, a 1 in field k when member k lies in the region, borrows across
-no field, and a field keeps its guard bit exactly when its delta is at
-least 1: (P1) holds iff (diff - R) & G == G.
+(P1) is one integer compare on the pair's packed hom delta diff, with
+guard bits G (``homcalc._packed_delta``, whose module describes the
+packing), and the move's region mask R (``moves._region_mask``): (P1)
+holds iff (diff - R) & G == G.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import InternalInvariantViolation, NoDescentMove, NotComparable
-from .homcalc import _guard, _hom_profile, _row_width, _test_set, hom_leq, test_set
-from .moves import Move, _move_candidates, apply_down, region, ses_witness
-from .objects import S2Object, crossings, diagram_of_object, object_of_diagram, object_type, require_same_type
-
-
-# per (move, test-set cutoff, width), the packed region mask over that test
-# set; the moves and cutoffs in use are few
-@lru_cache(maxsize=4096)
-def _region_mask(move: Move, bound: int, w: int) -> int:
-    """A 1 in field k of w bits when the k-th member of the test set at
-    cutoff ``bound`` lies in the move's region, 0 elsewhere."""
-    pred = region(move)
-    return sum(1 << w * k for k, x in enumerate(_test_set(bound)) if pred(x))
+from .homcalc import _packed_delta, hom_leq
+from .moves import Move, _move_candidates, _region_mask, apply_down, ses_witness
+from .objects import S2Object, crossings, diagram_of_object, object_of_diagram, object_type
 
 
 def find_descent_move(y: S2Object, z: S2Object) -> Move:
@@ -56,15 +41,13 @@ def find_descent_move(y: S2Object, z: S2Object) -> Move:
     passed over when it is not admissible.  Raises
     :class:`NoDescentMove` when y and z are isomorphic and
     :class:`NotComparable` when y is not below z."""
-    beta = require_same_type(y, z)
-    # test_set(beta) is the test set at cutoff max_part + 1
-    bound, w = beta.max_part + 1, _row_width(beta)
-    guard = _guard(len(test_set(beta)), w)
-    diff = (_hom_profile(z, None) | guard) - _hom_profile(y, None)
+    diff, guard, w = _packed_delta(y, z)
     if y == z:
         raise NoDescentMove("the objects are isomorphic; nothing to descend")
     if diff & guard != guard:
         raise NotComparable("y is not below z in the hom order")
+    # the default test set is the one at cutoff max_part + 1
+    bound = object_type(z)[0].max_part + 1
     diagram = diagram_of_object(z)
     for kind, pts in sorted(_move_candidates(diagram.arcs, diagram.poles)):
         move = Move(kind, pts)

@@ -35,6 +35,11 @@ order from the bitset closure of the record (``moves._reach_ids``),
 where y <= z iff bit y is set in the closure of z.  The point queries
 ``hom_leq`` and ``arc_leq`` decide the same orders pair by pair and are
 the tests' reference for both tables.
+
+Beside the sweep, ``region_check`` tests the region lemma on seeded
+random unit pairs: each pair's packed hom delta must equal the guard
+bits plus the move's region mask (``moves._region_mask``), the mask the
+descent reads.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from functools import lru_cache
 
 from .errors import InconsistentDiagram
 from .geometry import _orbit_dim, aut_degree
-from .homcalc import _fields, _guard, _hom_rows, _row_width, delta_profile, hom_obj, mesh_defect_report, test_set
+from .homcalc import _fields, _guard, _hom_rows, _packed_delta, _row_width, hom_obj, mesh_defect_report, test_set
 from .lr import minimal_count_prediction
 from .moves import (
     MOVE_ARITY,
@@ -52,9 +57,9 @@ from .moves import (
     _extrema_ids,
     _node_dims,
     _reach_ids,
+    _region_mask,
     _type_table,
     down_moves,
-    region,
     unit_pair,
 )
 from .objects import (
@@ -299,14 +304,16 @@ def mesh_check(pairs: int, max_weight: int, seed: int) -> list[str]:
 
 
 def region_check(pairs: int, max_point: int, seed: int) -> list[str]:
-    """Region indicator versus hom delta over random unit pairs."""
+    """Region indicator versus hom delta over random unit pairs; a
+    failure names the first test-set member where they differ."""
     failures = []
     for move, smaller, larger in random_unit_pairs(pairs, max_point, seed):
         beta = object_type(smaller)[0]
-        pred = region(move)
-        for x, delta in zip(test_set(beta), delta_profile(smaller, larger)):
-            expected = 1 if pred(x) else 0
-            if delta != expected:
-                failures.append(f"{move} at {x.to_text()}")
-                break
+        diff, guard, w = _packed_delta(smaller, larger)
+        expected = guard + _region_mask(move, beta.max_part + 1, w)
+        if diff != expected:
+            # the lowest differing bit lies in the first differing field
+            wrong = diff ^ expected
+            k = ((wrong & -wrong).bit_length() - 1) // w
+            failures.append(f"{move} at {test_set(beta)[k].to_text()}")
     return failures

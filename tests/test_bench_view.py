@@ -6,6 +6,11 @@ name that no longer resolves is skipped there without a word and its
 metrics vanish, so this test fails instead.  It loads the two tables in
 a fresh interpreter that writes no bytecode, so nothing under ``bench/``
 changes and no bench module stays imported here.
+
+The bench's own tests (``bench/test_*.py``) also pin library behaviour
+the bench relies on, such as the ``hom_leq`` calls that
+``reduction_chain`` makes, so the suite runs them too, in a fresh
+interpreter that writes nothing under ``bench/``.
 """
 
 import json
@@ -41,3 +46,14 @@ def test_bench_layers_and_caches_resolve_in_the_library():
     view = json.loads(proc.stdout)
     assert view["layers"] > 0 and view["caches"] > 0
     assert view["missing"] == []
+
+
+def test_bench_tests_pass_and_leave_bench_unchanged(monkeypatch):
+    # the bench tests start interpreters of their own; none writes bytecode
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    bench = ROOT / "bench"
+    before = {path: path.stat().st_mtime_ns for path in bench.rglob("*")}
+    proc = run_python("-B", "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench", cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout and " failed" not in proc.stdout
+    assert {path: path.stat().st_mtime_ns for path in bench.rglob("*")} == before

@@ -224,6 +224,13 @@ def test_mesh_defect_report_matches_the_reference_under_an_order_fault():
     assert int(proc.stdout) > 0
 
 
+def test_table_entry_refuses_an_unknown_source_kind():
+    for kind in ("Q1", "B", "p1"):
+        with pytest.raises(ValueError) as raised:
+            table_entry(kind, 3, 0, "P1", 2, 0)
+        assert str(raised.value) == f"unknown kind {kind!r}"
+
+
 def test_mesh_defect_report_empty_cases():
     assert mesh_defect_report(DESCENT_Y, DESCENT_Y, 10) == []
     assert mesh_defect_report(DESCENT_Y, DESCENT_Z, 10) == []

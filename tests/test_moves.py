@@ -89,6 +89,22 @@ def test_move_validation():
     assert Move("A", (6, 4, 3, 2)).display_kind == "A'"
 
 
+def test_move_refusals_give_their_exact_messages():
+    # an unknown kind, a wrong number of points, and a point below 1
+    cases = [
+        ("F", (2, 1), "unknown move kind 'F'"),
+        ("a", (6, 4, 2, 1), "unknown move kind 'a'"),
+        ("E", [3, 2, 1], "move E takes 2 points, got (3, 2, 1)"),
+        ("A", (3, 2, 1), "move A takes 4 points, got (3, 2, 1)"),
+        ("E", (1, 0), "move points must be >= 1, got (1, 0)"),
+        ("B", (3, -1, -2), "move points must be >= 1, got (3, -1, -2)"),
+    ]
+    for kind, points, message in cases:
+        with pytest.raises(ValueError) as raised:
+            Move(kind, points)
+        assert str(raised.value) == message
+
+
 def test_move_equality_hash_and_repr():
     move = Move("A", (6, 4, 2, 1))
     assert move == Move("A", (6, 4, 2, 1)) and hash(move) == hash(("A", (6, 4, 2, 1)))

@@ -65,6 +65,14 @@ def test_indecomposable_validation():
             Indecomposable(kind, m, r)
 
 
+def test_arc_summands_refuse_arcs_without_m_above_r_above_0():
+    assert arc_summands(5, 4) == (P2(5), P0(4)) and arc_summands(5, 3) == (B2(5, 3),)
+    for m, r in ((3, 3), (2, 5), (2, 0)):
+        with pytest.raises(ValueError) as raised:
+            arc_summands(m, r)
+        assert str(raised.value) == f"arc ({m},{r}) needs m > r >= 1"
+
+
 def test_interned_constructors_refuse_what_the_check_refuses():
     # each bad call raises the check's message twice in a row, both before
     # and after the good summand that it equals in hash was built and kept

@@ -4,7 +4,7 @@ import pytest
 
 import arcdeg.reduction
 from arcdeg.errors import ArcDegError, InternalInvariantViolation, NoDescentMove, NotComparable, TypeMismatch
-from arcdeg.homcalc import delta_hom, hom_leq, test_set as hom_test_set
+from arcdeg.homcalc import _test_set, delta_hom, hom_leq, test_set as hom_test_set
 from arcdeg.moves import Move, apply_down, down_moves, region
 from arcdeg.objects import (
     B2,
@@ -114,6 +114,36 @@ def test_descent_stops_at_the_first_move_that_does_not_lower_poles_and_crossings
     with pytest.raises(InternalInvariantViolation, match=r"^move A\(6,5,3,1\) does not lower \(poles, crossings\)"):
         reduction_steps(DESCENT_Y, DESCENT_Z)
     assert applied == [Move("A", (6, 5, 3, 1))]
+
+
+def test_descent_reports_a_pair_with_no_admissible_move(monkeypatch):
+    # a region mask with every field set asks for a hom delta of at least
+    # 1 on every test member, which no move of the worked pair meets
+    def every_field(move, bound, w):
+        return sum(1 << w * k for k in range(len(_test_set(bound))))
+
+    monkeypatch.setattr(arcdeg.reduction, "_region_mask", every_field)
+    with pytest.raises(InternalInvariantViolation) as raised:
+        find_descent_move(DESCENT_Y, DESCENT_Z)
+    assert str(raised.value) == (
+        "no admissible move for B(7,3)+B(6,2)+P2(5)+P1(1)+P0(4) <= B(6,3)+B(5,1)+P1(7)+P1(4)+P1(2)"
+    )
+
+
+def test_descent_stops_at_the_first_move_that_leaves_the_hom_up_set_of_y(monkeypatch):
+    # C(6,5,3,1) applies to the diagram of z and lowers its crossings, but
+    # its result is not above y
+    chosen = []
+
+    def faulty(y, z):
+        chosen.append(z)
+        return Move("C", (6, 5, 3, 1))
+
+    monkeypatch.setattr(arcdeg.reduction, "find_descent_move", faulty)
+    with pytest.raises(InternalInvariantViolation) as raised:
+        reduction_steps(DESCENT_Y, DESCENT_Z)
+    assert str(raised.value) == "move C(6,5,3,1) broke hom monotonicity"
+    assert chosen == [DESCENT_Z]
 
 
 def test_published_five_move_chain_validates():

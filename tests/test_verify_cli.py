@@ -107,15 +107,37 @@ sys.exit(main(["verify", "--beta-max", "6"]))
 
 # [P1(5), B2(5, r)] one too large, for every r: a fault that the random
 # mesh stream misses and the region stream and the sweep catch
-MESH_MISS_FAULT = """
-import sys
+MESH_MISS_PATCH = """
 from arcdeg import homcalc
 entry = homcalc.table_entry
 homcalc.table_entry = lambda xkind, xl, xt, ykind, ym, yr: (
     entry(xkind, xl, xt, ykind, ym, yr) + (xkind == "P1" and xl == 5 and ykind == "B2" and ym == 5)
 )
+"""
+
+MESH_MISS_FAULT = MESH_MISS_PATCH + """
+import sys
 from arcdeg.cli import main
 sys.exit(main(["verify", "--beta-max", "10"]))
+"""
+
+# [B2(6, t), P1(4)] one too small, for every t
+B2_6_PATCH = """
+from arcdeg import homcalc
+entry = homcalc.table_entry
+homcalc.table_entry = lambda xkind, xl, xt, ykind, ym, yr: (
+    entry(xkind, xl, xt, ykind, ym, yr) - (xkind == "B2" and xl == 6 and ykind == "P1" and ym == 4)
+)
+"""
+
+# the region check of ``arcdeg verify``: its failure count, first and last
+# failure, and the sha256 of all failures joined by newlines
+REGION_REPORT = """
+import hashlib
+from arcdeg.verify import region_check
+failures = region_check(100, 10, seed=20_27)
+digest = hashlib.sha256("\\n".join(failures).encode()).hexdigest()
+print(len(failures), *failures[:1], *failures[-1:], digest, sep="\\n")
 """
 
 
@@ -592,6 +614,36 @@ def test_cli_verify_report_under_a_fault_the_mesh_stream_misses():
         "mesh identity on 100 random pairs: ok",
         "region indicator on 100 random unit pairs: FAILED",
     ]
+
+
+def test_region_check_failures_under_single_entry_faults_are_pinned():
+    # recorded, each in a fresh interpreter, from the region check that
+    # compared delta_profile with region(move) member by member
+    expected = {
+        "": ["0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+        MESH_MISS_PATCH: [
+            "8",
+            "C(9,5,4,2) at P1(5)",
+            "C(7,6,5,3) at P1(5)",
+            "6875432c1e04537192a7a3606672c5838739666cc98bebfe0a2aee1fa746c480",
+        ],
+        ORDER_PATCH: [
+            "48",
+            "B(6,5,3) at P1(2)",
+            "E(10,4) at P1(2)",
+            "8fae571b6da40efd1f02afa2239b616e06a53d4b5b3bc0237b4a9ef100db2a8c",
+        ],
+        B2_6_PATCH: [
+            "15",
+            "B(7,5,4) at B(6,1)",
+            "B(8,5,4) at B(6,1)",
+            "4816a1d5c8dd835d5ec592abfb50b07dc59ae9a44cd0e1fb3b8f5257bb86ec24",
+        ],
+    }
+    for patch, report in expected.items():
+        proc = run_python("-c", patch + REGION_REPORT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == report
 
 
 def test_sweep_tables_match_point_queries_up_to_weight_7():
