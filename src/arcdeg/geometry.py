@@ -12,6 +12,11 @@ closed forms in the weights |.| and moments n(.) of the three types:
     stratum = |alpha|^2 + |beta|^2 - |beta| - n(alpha) - n(beta) - n(gamma) - x
     orbit   = n(beta) + n(alpha) - n(gamma) + |alpha| - x
 
+The stabilizer of the embedding is Aut(o), open in End(o), so orbit =
+aut_degree(alpha) + aut_degree(beta) - [o, o]; in the sum of the three
+orbits both automorphism degrees cancel, and stratum = |alpha|^2 +
+|beta|^2 - [o, o], the identity the sweep in ``verify`` checks.
+
 All quantities are exact integers; Python's arbitrary-precision ints
 rule out overflow.
 """

@@ -16,10 +16,9 @@ exhaustively on its own node ids in that record:
   the hom space from each such picket has one dimension over the type;
 * every single down-move stays in the type and strictly raises the
   stratum dimension;
-* the orbit-stabilizer identity: the orbit dimension of the embedding
-  (from crossing numbers) equals the automorphism degrees of subspace
-  and ambient space minus the dimension of the object's endomorphism
-  space (from the hom table);
+* the orbit-stabilizer identity: the stratum dimension that the record
+  gives (from crossing numbers) plus the dimension of the object's
+  endomorphism space (from the hom table) is |alpha|^2 + |beta|^2;
 * a unique maximal element whose diagram carries no arc, and agreement
   of the minimal-element count with the Littlewood-Richardson
   prediction whenever the skew type is a column strip.
@@ -45,10 +44,8 @@ descent reads.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 from .errors import InconsistentDiagram
-from .geometry import _orbit_dim, aut_degree
 from .homcalc import _fields, _guard, _hom_rows, _packed_delta, _row_width, hom_obj, mesh_defect_report, test_set
 from .lr import minimal_count_prediction
 from .moves import (
@@ -142,7 +139,6 @@ def equivalence_sweep(max_weight: int) -> SweepReport:
     return report
 
 
-@lru_cache(maxsize=32)
 def _picket_probes(max_part: int) -> tuple[Indecomposable, ...]:
     """The P0 and P2 probes of the types with this largest part."""
     return tuple([P0(m) for m in range(1, max_part + 2)] + [P2(m) for m in range(2, max_part + 2)])
@@ -159,7 +155,7 @@ def _check_ambient(report: SweepReport, beta: Partition):
     for i, obj in enumerate(objects):
         ids_of.setdefault(object_type(obj)[1], []).append(i)
     dims = _node_dims(graph, beta)
-    aut_beta = aut_degree(beta)
+    square_beta = beta.weight() ** 2
     probes = _picket_probes(beta.max_part)
     w = _row_width(beta)
     picket_rows = _hom_rows(probes, objects, w)
@@ -177,13 +173,6 @@ def _check_ambient(report: SweepReport, beta: Partition):
         report.types_realizable += 1
         report.objects_total += len(ids)
         report.move_edges += sum(graph.moves[i] for i in ids)
-        # orbit-stabilizer: the stabilizer of the embedding is Aut(obj), an
-        # open subset of End(obj); per subspace type, the orbit dimension
-        # before the crossings and the two automorphism degrees
-        orbit = {
-            alpha: (_orbit_dim(alpha, beta, gamma, 0), aut_degree(alpha) + aut_beta)
-            for alpha in {dims[i][0] for i in ids}
-        }
         first = objects[ids[0]]
         for i in ids:
             obj, d, (alpha, dim) = objects[i], graph.diagrams[i], dims[i]
@@ -199,8 +188,10 @@ def _check_ambient(report: SweepReport, beta: Partition):
                 for probe, value, expected in zip(probes, values, _fields(picket_rows[ids[0]], len(probes), w)):
                     if value != expected:
                         report.fail("picket-delta-zero", f"{probe.to_text()} on {first.to_text()} vs {obj.to_text()}")
-            uncrossed, auts = orbit[alpha]
-            if uncrossed - graph.crossings[i] != auts - hom_obj(obj, obj):
+            # orbit-stabilizer: the stabilizer of the embedding is Aut(obj), an
+            # open subset of End(obj), so the stratum, the sum of the three
+            # orbits, has dimension |alpha|^2 + |beta|^2 - [obj, obj]
+            if dim + hom_obj(obj, obj) != alpha.weight() ** 2 + square_beta:
                 report.fail("dimension-identity", obj.to_text())
             leaving = graph.moves[i] - len(graph.succ[i])
             if leaving or any(dims[j][1] <= dim for j in graph.succ[i]):

@@ -6,7 +6,8 @@ import pytest
 from arcdeg.cli import main
 from arcdeg.homcalc import _guard, _hom_rows, _row_width, delta_profile, hom_leq, hom_obj, test_set as hom_test_set
 from arcdeg.geometry import stratum_dim
-from arcdeg.moves import _reach_ids, _type_graph, arc_leq, down_moves
+from arcdeg.lr import minimal_count_prediction
+from arcdeg.moves import _reach_ids, _type_graph, arc_leq, down_moves, extrema
 from arcdeg.objects import ArcDiagram, S2Object, alpha_of, diagram_of_object, enumerate_objects, object_type
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions, mesh_check, region_check, subpartitions
@@ -50,6 +51,35 @@ diagram = objects.diagram_of_object
 moves.diagram_of_object = lambda o: ArcDiagram(diagram(o).arcs, diagram(o).poles, ())
 from arcdeg.cli import main
 sys.exit(main(["verify", "--beta-max", "4"]))
+"""
+
+# every stratum dimension one too large; the sweep reads the dimensions
+# that hasse, enumerate and dim print from this formula
+STRATUM_FAULT = """
+import sys
+from arcdeg import geometry
+dims = geometry._stratum_dim_less_crossings
+geometry._stratum_dim_less_crossings = lambda alpha, beta, gamma: dims(alpha, beta, gamma) + 1
+from arcdeg.cli import main
+sys.exit(main(["verify", "--beta-max", "8"]))
+"""
+
+# [P1(7), B2] one too large: P1(7) is past the default test-set cutoff of
+# every type up to weight 6 and inside the widened one from a largest part
+# of 4 on, so only the widened hom order sees the fault
+WIDE_ONLY_PATCH = """
+from arcdeg import homcalc
+from arcdeg.objects import P1
+table = homcalc.hom_indec
+homcalc.hom_indec = lambda x, y: table(x, y) + (x == P1(7) and y.kind == "B2")
+"""
+
+# the record's extrema come back swapped, so the sweep takes the minimal
+# elements for the maximal ones
+EXTREMA_PATCH = """
+from arcdeg import moves
+extrema = moves._extrema_ids
+moves._extrema_ids = lambda graph, ids=None: extrema(graph, ids)[::-1]
 """
 
 SWEEP_REPORT = """
@@ -308,6 +338,16 @@ def test_cli_verify_is_byte_identical_at_weight_8(capsys):
     )
 
 
+def test_cli_verify_is_byte_identical_at_weight_10(capsys):
+    # digest recorded from the sweep whose dimension identity read the
+    # embedding orbit from crossing numbers
+    code, out, _ = run_cli(capsys, "verify", "--beta-max", "10")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fbd69e9e523e2906ee997c85e9bd84ba8799024900eab35c73c38ee8c8bf3619"
+    )
+
+
 def test_cli_enumerate_json_is_byte_identical_on_staircase_8(capsys):
     # digest recorded from the enumerator that rebuilt each summand per step
     code, out, _ = run_cli(
@@ -446,10 +486,76 @@ def test_sweep_monotonicity_fault_report():
                 target = by_diagram[nxt]
                 if dim(target) < dim(o) + 1:
                     expected.append(f"{move} from {o.to_text()} ({dim(o)} -> {dim(target)})")
-    assert failures == {"dimension-monotonicity": expected}
+    # reference: every object whose faulty dimension and endomorphism
+    # dimension do not sum to |alpha|^2 + |beta|^2, that is each with a pole
+    identity = []
+    for beta, gamma in iter_types(6):
+        for o in enumerate_objects(beta, gamma):
+            alpha = alpha_of(o)
+            if dim(o) + hom_obj(o, o) != alpha.weight() ** 2 + beta.weight() ** 2:
+                identity.append(o.to_text())
+    assert failures == {"dimension-monotonicity": expected, "dimension-identity": identity}
     # as recorded from the sweep that regenerated every move per object
     assert len(expected) == 39
     assert expected[0] == "E(5,1) from P1(5)+P1(1) (36 -> 33)"
+    # as recorded from the sweep that first checked the stratum dimension
+    assert len(identity) == 161
+    assert identity[:3] == ["P1(6)", "P1(5)", "P1(1)+P0(5)"]
+
+
+def test_cli_verify_reports_a_wrong_stratum_dimension():
+    # the sweep that checked the embedding orbit instead passed this fault
+    proc = run_python("-c", STRATUM_FAULT)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "FAILED dimension-identity: 910 case(s); first: P0(8)" in proc.stdout.splitlines()
+
+
+def test_sweep_test_set_bound_fault_report():
+    # report recorded from the sweep that checked the embedding orbit
+    proc = run_python("-c", WIDE_ONLY_PATCH + SWEEP_REPORT)
+    assert proc.returncode == 0, proc.stderr
+    counts, failures = json.loads(proc.stdout)
+    assert counts == [229, 195, 234, 320, 41]
+    assert failures == {
+        "test-set-bound": [
+            "B(5,1) vs P1(5)+P1(1)",
+            "B(4,2) vs P1(4)+P1(2)",
+            "B(4,1) vs P1(4)+P1(1)",
+            "B(4,1)+P1(1) vs P1(4)+P1(1)+P1(1)",
+            "B(4,1)+P0(1) vs P1(4)+P1(1)+P0(1)",
+        ]
+    }
+
+
+def test_sweep_maximal_has_arc_fault_report():
+    proc = run_python("-c", EXTREMA_PATCH + SWEEP_REPORT)
+    assert proc.returncode == 0, proc.stderr
+    counts, failures = json.loads(proc.stdout)
+    assert counts == [229, 195, 234, 320, 41]
+    # reference: the extrema checks with the two lists swapped
+    expected: dict[str, list[str]] = {}
+    for beta, gamma in iter_types(6):
+        maximal, minimal = extrema(beta, gamma)
+        if not maximal:
+            continue
+        name = f"type ({beta.to_text()};{gamma.to_text()})"
+        if len(minimal) != 1:
+            expected.setdefault("unique-maximal", []).append(name)
+        elif diagram_of_object(minimal[0]).arcs:
+            expected.setdefault("maximal-has-arc", []).append(name)
+        predicted = minimal_count_prediction(beta, gamma)
+        if predicted is not None and predicted != len(maximal):
+            expected.setdefault("minimal-count", []).append(f"{name}: predicted {predicted}, found {len(maximal)}")
+    assert failures == expected
+    # as recorded from the sweep that checked the embedding orbit
+    assert {kind: len(msgs) for kind, msgs in failures.items()} == {
+        "maximal-has-arc": 35,
+        "unique-maximal": 1,
+        "minimal-count": 1,
+    }
+    assert failures["maximal-has-arc"][:2] == ["type (5,1;4)", "type (4,2;3,1)"]
+    assert failures["unique-maximal"] == ["type (3,2,1;2,1)"]
+    assert failures["minimal-count"] == ["type (3,2,1;2,1): predicted 2, found 1"]
 
 
 def test_sweep_reports_a_record_that_disagrees_with_down_moves():
