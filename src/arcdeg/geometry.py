@@ -5,12 +5,13 @@ The stratum of an object is the sum of three orbit dimensions: of the
 subspace operator, |alpha|^2 - aut_degree(alpha); of the ambient
 operator, |beta|^2 - aut_degree(beta); and of the embedding,
 hall_degree + aut_degree(alpha) - x, with x the crossings of its
-diagram.  aut_degree(alpha) cancels, and with aut_degree = |.| + 2 n(.)
-and hall_degree = n(beta) - n(alpha) - n(gamma) both dimensions are
-closed forms in the weights |.| and moments n(.) of the three types:
+diagram.  ``subspace_orbit_dim`` returns that last sum from its two
+degrees.  Only the stratum keeps a closed form: aut_degree(alpha)
+cancels in the sum of the three, and with aut_degree = |.| + 2 n(.) and
+hall_degree = n(beta) - n(alpha) - n(gamma) it is a closed form in the
+weights |.| and moments n(.) of the three types:
 
     stratum = |alpha|^2 + |beta|^2 - |beta| - n(alpha) - n(beta) - n(gamma) - x
-    orbit   = n(beta) + n(alpha) - n(gamma) + |alpha| - x
 
 The stabilizer of the embedding is Aut(o), open in End(o), so orbit =
 aut_degree(alpha) + aut_degree(beta) - [o, o]; in the sum of the three
@@ -67,10 +68,5 @@ def subspace_orbit_dim(obj: S2Object) -> int:
     groups of subspace and ambient space, with all three types fixed:
     hall_degree + aut_degree(alpha) - crossings."""
     beta, gamma = object_type(obj)
-    return _orbit_dim(alpha_of(obj), beta, gamma, crossings(diagram_of_object(obj)))
-
-
-def _orbit_dim(alpha: Partition, beta: Partition, gamma: Partition, x: int) -> int:
-    """hall_degree + aut_degree(alpha) - x, where -n(alpha) + 2 n(alpha)
-    leaves n(beta) + n(alpha) - n(gamma) + |alpha| - x."""
-    return beta.moment() + alpha.moment() - gamma.moment() + alpha.weight() - x
+    alpha = alpha_of(obj)
+    return hall_degree(alpha, beta, gamma) + aut_degree(alpha) - crossings(diagram_of_object(obj))

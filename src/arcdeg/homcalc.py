@@ -46,6 +46,18 @@ region), the descent's (P1) is (diff - R) & G == G: a pair in hom order
 borrows across no field, and a field keeps its guard bit exactly when
 its delta is at least 1.  ``verify``'s region check is diff == G + R.
 
+A test set depends only on its bipicket cutoff b (``_test_set``):
+P1(1 .. b - 1) and B2(l, t) for 3 <= l <= b and 1 <= t <= l - 2, so
+(b - 1) + (b - 1)(b - 2)/2 members, and at most 32 cutoffs are kept.
+Its growth is fine: it follows the largest part queried, not the
+number of queries, and a caller that reads a set pays for it anyway.
+``hom`` prints the whole delta vector, one line per member, so its
+output is itself quadratic in the largest part: ``hom --x "P1(1000)"
+--y "P1(1000)"`` reads 500,500 members and prints 10.4 MB.  That call
+took 67 s and 290 MB on a shared 2-vCPU host, most of it in packing
+and unpacking rows of that many fields, where each field's shift copies
+the whole row, not in building the set.
+
 The dimension of the morphism space between two indecomposables is a
 closed formula in the parameters, built from truncated minima:
 

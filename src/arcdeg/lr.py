@@ -24,7 +24,7 @@ def lr_coefficient(alpha: Partition, gamma: Partition, beta: Partition) -> int:
     # look only at already filled cells.
     cells: list[tuple[int, int]] = []
     for i, b in enumerate(beta):
-        g = gamma.part_at(i)
+        g = gamma[i] if i < len(gamma) else 0
         cells.extend((i, j) for j in range(b - 1, g - 1, -1))
     k = len(alpha)
     fill: dict[tuple[int, int], int] = {}

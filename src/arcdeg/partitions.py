@@ -5,7 +5,10 @@ A partition is the tuple of its parts, stored dense and canonical:
 weakly decreasing, no zero parts.  The constructor normalizes, so two
 equal multisets of parts always compare equal, and a partition compares,
 hashes and sorts like the plain tuple of its parts, its own key in every
-table.  Callers read the parts from the tuple itself.
+table.  Callers read the parts from the tuple itself, and so do
+containment and the strip test: each compares two tuples part by part
+in one C-level ``map``, after a length check that stands for the zero
+parts past the end of the shorter one.
 
 Two builders make partitions that are canonical by construction and
 skip the constructor through ``tuple.__new__``:
@@ -18,7 +21,7 @@ skip the constructor through ``tuple.__new__``:
 
 from __future__ import annotations
 
-from operator import mul
+from operator import ge, le, mul
 
 from .errors import TypeMismatch
 
@@ -60,10 +63,6 @@ class Partition(tuple):
     def to_text(self) -> str:
         return ",".join(str(p) for p in self)
 
-    def part_at(self, i: int) -> int:
-        """The ``i``-th part (0-based), or 0 past the end."""
-        return self[i] if 0 <= i < len(self) else 0
-
     @property
     def max_part(self) -> int:
         return self[0] if self else 0
@@ -78,7 +77,7 @@ class Partition(tuple):
 
     def contains(self, other: "Partition") -> bool:
         """Componentwise containment: every part of ``other`` fits under this one."""
-        return all(other[i] <= self.part_at(i) for i in range(len(other)))
+        return len(other) <= len(self) and all(map(le, other, self))
 
 
 def require_contains(beta: Partition, gamma: Partition) -> None:
@@ -94,4 +93,4 @@ def is_column_strip(beta: Partition, gamma: Partition) -> bool:
     Polynomials*, I.1).  Raises :class:`TypeMismatch` unless gamma is
     contained in beta."""
     require_contains(beta, gamma)
-    return all(gamma.part_at(i) >= b for i, b in enumerate(beta[1:]))
+    return len(gamma) + 1 >= len(beta) and all(map(ge, gamma, beta[1:]))

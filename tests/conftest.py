@@ -133,6 +133,12 @@ def unpack_row(row: int, n: int, w: int) -> tuple[int, ...]:
     return tuple(row >> w * k & (1 << w) - 1 for k in range(n))
 
 
+def part_at(partition, i: int) -> int:
+    """The ``i``-th part (0-based), or 0 past the end: the per-part
+    reference for the tuple comparisons in ``arcdeg.partitions``."""
+    return partition[i] if 0 <= i < len(partition) else 0
+
+
 def iter_types(max_weight: int):
     """All (beta, gamma) with 1 <= |beta| <= max_weight and gamma inside beta."""
     from arcdeg.verify import all_partitions, subpartitions

@@ -1,9 +1,10 @@
+import hashlib
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from arcdeg import moves
 from arcdeg.geometry import (
-    _orbit_dim,
     _stratum_dim_less_crossings,
     aut_degree,
     hall_degree,
@@ -77,8 +78,6 @@ def test_closed_forms_match_the_sum_of_orbit_dimensions_up_to_weight_10():
                 alpha = Partition((2,) * twos + (1,) * (size - 2 * twos))
                 expected = stratum_dim_less_crossings_reference(alpha, beta, gamma)
                 assert _stratum_dim_less_crossings(alpha, beta, gamma) == expected
-                for x in (0, 3):
-                    assert _orbit_dim(alpha, beta, gamma, x) == hall_degree(alpha, beta, gamma) + aut_degree(alpha) - x
                 triples += 1
     assert triples == 7997
 
@@ -90,6 +89,19 @@ def test_object_dimensions_match_the_sum_of_orbit_dimensions_up_to_weight_8():
             x = crossings(diagram_of_object(obj))
             assert stratum_dim(obj) == stratum_dim_less_crossings_reference(alpha, beta, gamma) - x
             assert subspace_orbit_dim(obj) == hall_degree(alpha, beta, gamma) + aut_degree(alpha) - x
+
+
+def test_dimensions_of_every_object_up_to_weight_8_are_pinned():
+    # digest recorded from the orbit dimension's own closed form
+    rows = []
+    for beta in all_partitions(8):
+        for obj in enumerate_objects(beta):
+            gamma, alpha = object_type(obj)[1], alpha_of(obj)
+            rows.append((stratum_dim(obj), hall_degree(alpha, beta, gamma), aut_degree(alpha), subspace_orbit_dim(obj)))
+    assert len(rows) == 911
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "28a804f495fb55892ebf795714b265d8bd8bd0af71521293279c5b7c17f893ba"
+    )
 
 
 @given(objects_strategy)

@@ -10,7 +10,7 @@ from arcdeg.objects import alpha_of, crossings, diagram_of_object, enumerate_obj
 from arcdeg.partitions import Partition
 from arcdeg.verify import all_partitions
 
-from conftest import iter_types
+from conftest import iter_types, part_at
 
 
 def brute_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
@@ -21,7 +21,7 @@ def brute_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
     cells = [
         (i, j)
         for i, b in enumerate(beta)
-        for j in range(gamma.part_at(i), b)
+        for j in range(part_at(gamma, i), b)
     ]
     if not cells:
         return 1
@@ -139,7 +139,7 @@ def recursive_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
     recursive call per skew cell."""
     if not beta.contains(gamma) or beta.weight() != gamma.weight() + alpha.weight():
         return 0
-    cells = [(i, j) for i, b in enumerate(beta) for j in range(b - 1, gamma.part_at(i) - 1, -1)]
+    cells = [(i, j) for i, b in enumerate(beta) for j in range(b - 1, part_at(gamma, i) - 1, -1)]
     k = len(alpha)
     fill: dict[tuple[int, int], int] = {}
     counts = [0] * (k + 1)
@@ -157,7 +157,7 @@ def recursive_lr(alpha: Partition, gamma: Partition, beta: Partition) -> int:
             right = fill.get((i, j + 1))
             if right is not None and v > right:
                 continue
-            if i > 0 and j >= gamma.part_at(i - 1):
+            if i > 0 and j >= part_at(gamma, i - 1):
                 above = fill.get((i - 1, j))
                 if above is not None and v <= above:
                     continue

@@ -9,6 +9,8 @@ from arcdeg.errors import TypeMismatch
 from arcdeg.partitions import Partition, is_column_strip
 from arcdeg.verify import all_partitions, subpartitions
 
+from conftest import part_at
+
 parts_lists = st.lists(st.integers(min_value=0, max_value=9), max_size=8)
 
 
@@ -18,7 +20,7 @@ def skew_column_counts(beta: Partition, gamma: Partition) -> dict[int, int]:
     boxes are omitted."""
     counts: dict[int, int] = {}
     for i, b in enumerate(beta):
-        for col in range(gamma.part_at(i) + 1, b + 1):
+        for col in range(part_at(gamma, i) + 1, b + 1):
             counts[col] = counts.get(col, 0) + 1
     return counts
 
@@ -105,6 +107,20 @@ def test_contains_examples():
     assert Partition.of(4, 3, 3, 2, 1).contains(Partition.of(3, 2, 1, 1))
     assert not Partition.of(2, 2).contains(Partition.of(3))
     assert Partition.of(7).contains(Partition.of(7))
+
+
+def test_contains_matches_the_per_part_reference_up_to_weight_8():
+    parts = all_partitions(8)
+    pairs = 0
+    for p in parts:
+        for q in parts:
+            expected = all(q[i] <= part_at(p, i) for i in range(len(q)))
+            assert p.contains(q) == expected, (p, q)
+            pairs += 1
+    assert pairs == 67 * 67
+    # more parts than the container: the parts past its end are zero
+    assert not Partition.of(2, 2).contains(Partition.of(1, 1, 1))
+    assert Partition.of(2, 2, 1).contains(Partition.of(1, 1, 1))
 
 
 def test_skew_column_counts_examples():
